@@ -26,7 +26,7 @@ Two kinds of failure are reported:
 
 ``repro audit`` is the CLI front end; ``RouterConfig(audit=True)``
 runs the auditor inside the flow and attaches the report (plus
-``audit_*`` trace counters) to the :class:`~repro.core.FlowResult`.
+``audit_*`` trace counters) to the :class:`~repro.api.FlowResult`.
 See ``docs/static_analysis.md``.
 """
 

@@ -45,22 +45,17 @@ PROCPOOL = "procpool"
 UNKNOWN = "unknown"
 
 #: Classes owning live shared state.
-BASE_CLASS_NAMES = frozenset(
-    {"GlobalGraph", "ArrayGlobalGraph", "DetailedGrid", "ArrayDetailedGrid"}
-)
+BASE_CLASS_NAMES = frozenset({"GlobalGraph", "DetailedGrid"})
 
 #: Classes implementing the sanctioned speculation surface.
 OVERLAY_CLASS_NAMES = frozenset(
     {
         "GraphSnapshot",
-        "ArrayGraphSnapshot",
         "SanitizedGraphSnapshot",
         "GridOverlay",
-        "ArrayGridOverlay",
         "SanitizedGridOverlay",
         "OverlayDelta",
         "_OwnerOverlay",
-        "_IndexedOwnerOverlay",
     }
 )
 
@@ -85,11 +80,11 @@ CALL_EFFECTS: dict[str, tuple[tuple[str, str], ...]] = {
     "max_vertex_overflow": (("global.demand", "read"),),
     "add_edge_demand": (("global.demand", "write"),),
     "add_vertex_demand": (("global.demand", "write"),),
-    "refresh_cost_cache": (("engine.cache", "write"),),
+    "refresh_cost_cache": (("global.cache", "write"),),
     "import_shared_state": (
         ("global.demand", "write"),
         ("global.history", "write"),
-        ("engine.cache", "write"),
+        ("global.cache", "write"),
     ),
     "shared_state_arrays": (
         ("global.demand", "read"),

@@ -1,6 +1,6 @@
 """Static concurrency-effect analyzer (the CONC rule catalog).
 
-The parallel engine's serial-equivalence guarantee rests on a
+The parallel router's serial-equivalence guarantee rests on a
 discipline the runtime sanitizer can only check for workloads that
 happen to exercise it: speculative code must route every shared-state
 access through snapshots and overlays, process workers must declare
@@ -57,15 +57,13 @@ from .rules import CONC_RULES
 
 #: Packages (inside a ``repro`` tree) whose files the CONC rules judge.
 #: Standalone files (fixtures, scripts) are always in scope.
-CONCURRENCY_PACKAGES = frozenset(
-    {"parallel", "engine", "globalroute", "detailed"}
-)
+CONCURRENCY_PACKAGES = frozenset({"parallel", "globalroute", "detailed"})
 
 
 def concurrency_rules_apply(path: str) -> bool:
     """Whether ``path`` is in scope for the CONC rules.
 
-    Inside a ``repro`` package tree only the parallel-engine packages
+    Inside a ``repro`` package tree only the parallel-routing packages
     are judged; standalone files (fixtures, scripts) always are, so
     test corpora exercise every rule.
     """

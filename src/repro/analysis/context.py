@@ -42,7 +42,7 @@ SHARED_STRUCTURES = frozenset(
         "global.capacity",
         "grid.owner",
         "grid.journal",
-        "engine.cache",
+        "global.cache",
         "channel",
     }
 )

@@ -1,8 +1,7 @@
 """Backend-pair markers for the cross-backend parity analyzer.
 
-Every performance arc in this codebase — the array engine behind
-``RouterConfig(engine=...)``, the thread pool, the shared-memory
-process pool — is only safe because each fast path is *provably
+Every performance arc in this codebase — the indexed detailed A*,
+the thread pool, the shared-memory process pool — is only safe because each fast path is *provably
 equivalent* to the reference implementation it shadows.  The dynamic
 half of that proof is the differential suites; the static half is
 :mod:`~repro.analysis.parity`, which needs to know which callables
@@ -13,7 +12,7 @@ claim to be two implementations of the same contract.
 .. code-block:: python
 
     @paired("detailed-astar", backend="object")
-    def astar_connect(...): ...
+    def reference_astar(...): ...
 
     @paired("detailed-astar", backend="array")
     def indexed_search(...): ...
@@ -26,9 +25,10 @@ at run time — it only attaches attributes — and the analyzer reads it
 syntactically, so it works on methods, free functions, and functions
 the interpreter never imports.
 
-Backend tags name the axis the pair varies over: ``object`` / ``array``
-for the engine axis, ``serial`` / ``thread`` / ``process`` for the
-executor axis.  A pair may have more than two members (e.g. one
+Backend tags name the axis the pair varies over: ``object`` (a plain
+search over tuple nodes) / ``array`` (the same search over flat
+arrays) for the search axis, ``serial`` / ``thread`` / ``process``
+for the executor axis.  A pair may have more than two members (e.g. one
 reference and two accelerated forms), but tags within a pair must be
 unique — two members claiming the same tag is a declaration bug and
 the analyzer rejects it.

@@ -1,9 +1,9 @@
 """Static cross-backend parity analyzer (the PAR rule catalog).
 
 Every fast path in this codebase shadows a reference implementation:
-the array engine shadows the object engine per stage, the process
-executor shadows the thread executor, the sanitized wrappers shadow
-the plain ones.  Their equivalence is proven dynamically by the
+the indexed detailed A* shadows the plain reference search, the
+process executor shadows the thread executor, the sanitized wrappers
+shadow the plain ones.  Their equivalence is proven dynamically by the
 differential suites — but only over the circuits those suites route.
 This module is the static complement: it extracts a per-function
 *effect signature* — counters incremented, trace spans / gauges /
@@ -714,7 +714,7 @@ def analyze_parity_paths(
 
     All files feed one call graph, so a pair whose members live in
     different modules (the common case: ``detailed/search.py`` vs
-    ``engine/detailed.py``) diffs correctly.  Baseline fingerprints
+    ``detailed/grid.py``) diffs correctly.  Baseline fingerprints
     grandfather findings exactly like the linter's; ``select`` /
     ``ignore`` restrict the active rules and raise
     :class:`ValueError` on unknown codes.

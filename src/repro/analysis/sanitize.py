@@ -14,15 +14,19 @@ of :class:`~repro.globalroute.overlay.GraphSnapshot` and
 :class:`~repro.detailed.overlay.GridOverlay` that audit every actual
 shared-state access during speculative execution and **fail loudly**
 (:class:`SanitizerViolation`) on any access outside the declared
-footprint.  Enabled with ``RouterConfig(sanitize=True)`` or the CLI
-``--sanitize`` flag; clean runs surface ``sanitize_*`` trace counters
-so the observability layer reports the coverage.
+footprint.  They run the same indexed searches as unsanitized
+speculation: the snapshot's cost-cache rows and the overlay's flat
+ownership-id and pin arrays are wrapped in auditing proxies, so the
+code the sanitizer checks is the code production runs.  Enabled with
+``RouterConfig(sanitize=True)`` or the CLI ``--sanitize`` flag; clean
+runs surface ``sanitize_*`` trace counters so the observability layer
+reports the coverage.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from typing import Optional
+from collections.abc import Iterable, Iterator, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -104,14 +108,48 @@ class _AuditedArray:
         return getattr(self._array, name)
 
 
+class _AuditedCacheRow:
+    """One row ``cache[i]`` of a snapshot cost cache, access-logged.
+
+    The indexed A* reads ``cache[i][j]``; every such read (and every
+    write by the snapshot's own demand mutators) is recorded as the
+    ``(kind, i, j)`` cell of the demand array it prices, so
+    :meth:`SanitizedGraphSnapshot.verify` checks cache reads against
+    the declared windows exactly like demand reads.
+    """
+
+    __slots__ = ("_row", "_kind", "_i", "_log")
+
+    def __init__(
+        self,
+        row: list[float],
+        kind: str,
+        i: int,
+        log: set[tuple[str, int, int]],
+    ) -> None:
+        self._row = row
+        self._kind = kind
+        self._i = i
+        self._log = log
+
+    def __getitem__(self, j: int) -> float:
+        self._log.add((self._kind, self._i, j))
+        return self._row[j]
+
+    def __setitem__(self, j: int, value: float) -> None:
+        self._log.add((self._kind, self._i, j))
+        self._row[j] = value
+
+
 class SanitizedGraphSnapshot(GraphSnapshot):
     """A :class:`GraphSnapshot` that audits every cell access.
 
-    Demand arrays (the state the windows declaration is about) log
-    reads and writes; capacity and history arrays (shared, frozen
-    between batches) log reads and reject writes.  After the net is
-    routed, :meth:`verify` checks every demand access fell inside the
-    declared A* windows.
+    Demand arrays and the cost caches the maze search prices steps
+    from (the state the windows declaration is about) log reads and
+    writes; capacity and history arrays (shared, frozen between
+    batches) log reads and reject writes.  After the net is routed,
+    :meth:`verify` checks every demand and cache access fell inside
+    the declared A* windows.
     """
 
     def __init__(self, base: GlobalGraph) -> None:
@@ -145,6 +183,17 @@ class SanitizedGraphSnapshot(GraphSnapshot):
         self.vertex_history = _AuditedArray(
             self.vertex_history, "vertex", self.shared_accesses, shared=True
         )
+        # Cache cells are logged under the demand kind they price, so
+        # verify() maps them to tiles exactly like demand cells.
+        self._h_cost = self._audited_rows(self._h_cost, "h")
+        self._v_cost = self._audited_rows(self._v_cost, "v")
+        self._v_price = self._audited_rows(self._v_price, "vertex")
+
+    def _audited_rows(self, rows: list[list[float]], kind: str) -> list:
+        return [
+            _AuditedCacheRow(row, kind, i, self.demand_accesses)
+            for i, row in enumerate(rows)
+        ]
 
     @staticmethod
     def _tiles_of(access: tuple[str, int, int]) -> Iterator[tuple[int, int]]:
@@ -161,7 +210,7 @@ class SanitizedGraphSnapshot(GraphSnapshot):
         windows: Iterable[Rect],
         stats: Optional[dict[str, float]] = None,
     ) -> None:
-        """Check every demand access lies inside a declared window.
+        """Check every demand and cache access lies inside a declared window.
 
         Args:
             windows: the net's declared read footprint (the A* windows
@@ -170,8 +219,8 @@ class SanitizedGraphSnapshot(GraphSnapshot):
                 ``sanitize_nets_checked`` are accumulated into it.
 
         Raises:
-            SanitizerViolation: a demand cell outside every declared
-                window was read or written.
+            SanitizerViolation: a demand or cost-cache cell outside
+                every declared window was read or written.
         """
         rects = list(windows)
 
@@ -292,14 +341,60 @@ class _FrozenPins:
     update = _reject_write
 
 
+class _GuardedNodeArray:
+    """A base grid's flat per-node array, read-audited by node id.
+
+    The indexed search logs a node id in the overlay's ``_reads_idx``
+    *before* it consults the base ownership-id array or the pin mask,
+    so any read of an id missing from that log is a code path
+    bypassing the footprint.  All mutation is rejected: the live grid
+    is frozen while a batch is in flight.
+    """
+
+    __slots__ = ("_array", "_declared", "_what", "_decode", "reads_checked")
+
+    def __init__(
+        self,
+        array: Sequence[int],
+        declared: set[int],
+        what: str,
+        decode: Callable[[int], Node],
+    ) -> None:
+        self._array = array
+        self._declared = declared
+        self._what = what
+        self._decode = decode
+        self.reads_checked = 0
+
+    def __getitem__(self, idx: int) -> int:
+        if idx not in self._declared:
+            raise SanitizerViolation(
+                f"base {self._what} read of {self._decode(idx)} bypassed "
+                "the overlay: the node is missing from the declared read "
+                "footprint"
+            )
+        self.reads_checked += 1
+        return self._array[idx]
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def __setitem__(self, idx: int, value: int) -> None:
+        raise SanitizerViolation(
+            f"write to the live {self._what} array at "
+            f"{self._decode(idx)} during speculation: all writes must "
+            "go through the overlay delta"
+        )
+
+
 class _SanitizedOwnerOverlay(_OwnerOverlay):
     """An :class:`_OwnerOverlay` whose base pointer is guarded."""
 
     __slots__ = ("guard",)
 
-    def __init__(self, base: dict[Node, str]) -> None:
+    def __init__(self, base: DetailedGrid) -> None:
         super().__init__(base)
-        self.guard = _GuardedBaseDict(base, self.reads)
+        self.guard = _GuardedBaseDict(base._owner, self.reads)
         self._base = self.guard
 
 
@@ -307,15 +402,30 @@ class SanitizedGridOverlay(GridOverlay):
     """A :class:`GridOverlay` that audits shared-state access.
 
     Base-ownership reads must be preceded by footprint recording (the
-    overlay records first, so bypass reads fail), the live ownership
-    dict and the shared pin set reject writes, and :meth:`verify`
-    re-checks the buffered delta against the declared write set.
+    overlay records first, so bypass reads fail) on both surfaces: the
+    dict the reference path reads through ``_owner``, and the flat
+    ownership-id array and pin mask the indexed search reads, which
+    are checked against the ``_reads_idx`` log.  The live ownership
+    dict, the id array, the pin mask and the shared pin set reject
+    writes, and :meth:`verify` re-checks the buffered delta against
+    the declared write set.
     """
 
     def __init__(self, base: DetailedGrid) -> None:
         super().__init__(base)
-        self._owner = _SanitizedOwnerOverlay(base._owner)
+        self._owner = _SanitizedOwnerOverlay(base)
+        self._local_ids = self._owner.local_ids
         self._pins = _FrozenPins(base._pins)
+        reads_idx = self._reads_idx
+        assert reads_idx is not None
+        self._id_guard = _GuardedNodeArray(
+            base._owner_ids, reads_idx, "ownership-id", self._decode
+        )
+        self._pin_guard = _GuardedNodeArray(
+            base._pin_mask, reads_idx, "pin-mask", self._decode
+        )
+        self._owner_ids = self._id_guard  # type: ignore[assignment]
+        self._pin_mask = self._pin_guard  # type: ignore[assignment]
 
     def verify(self, stats: Optional[dict[str, float]] = None) -> None:
         """Check the buffered delta matches the declared footprint.
@@ -341,6 +451,8 @@ class SanitizedGridOverlay(GridOverlay):
             checked = (
                 owner.guard.reads_checked
                 + self._pins.reads_checked
+                + self._id_guard.reads_checked
+                + self._pin_guard.reads_checked
                 + len(owner.writes)
             )
             stats["sanitize_nodes_checked"] = (

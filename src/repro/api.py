@@ -4,16 +4,18 @@ Everything a downstream user needs lives here under one import path::
 
     from repro.api import RouterConfig, StitchAwareRouter, route
 
-    result = route(design, RouterConfig(engine="array"))
+    result = route(design, RouterConfig(workers=2))
     print(result.report.stitch_line_histogram())
 
 The facade is the *compatibility contract*: names exported here keep
 working across refactors, while the deep module layout
 (``repro.core.flow``, ``repro.detailed`` and friends) remains free to
-move.  Importing flow classes through intermediate packages such as
-``repro.core`` is deprecated (a :class:`DeprecationWarning` points
-here); the deep modules themselves stay importable for subclassing and
-instrumentation, without a stability promise.
+move.  The deep modules themselves stay importable for subclassing
+and instrumentation, without a stability promise.  A name removed from
+this facade first spends one release emitting a
+:class:`DeprecationWarning`: ``Engine``, ``resolve_engine`` and
+``RouterConfig(engine=...)`` are in that release now — the router has
+one engine, so they select nothing.
 
 Heavier analysis entry points (:func:`~repro.analysis.audit_solution`,
 :func:`~repro.analysis.lint_paths`) are re-exported lazily so that
@@ -85,7 +87,7 @@ def route(
     Convenience wrapper over
     ``StitchAwareRouter(config=config).route(design)`` — the flow all
     of the paper's result tables use.  ``config`` defaults to
-    :data:`DEFAULT_CONFIG`; pass ``RouterConfig(engine=...)`` to pick
-    the routing engine explicitly.
+    :data:`DEFAULT_CONFIG`; pass ``RouterConfig(workers=N)`` to route
+    net batches on a worker pool.
     """
     return StitchAwareRouter(config=config).route(design, tracer=tracer)

@@ -16,8 +16,7 @@ Commands:
   progress, nets/s and expansions/s rates, heartbeat gauges, hotspot
   deltas, and the final hotspot ranking when the run finishes.
 * ``perf-history`` — roll the committed ``BENCH_*.json`` /
-  ``SPEEDUP_ENGINE_*.json`` / ``SPEEDUP_*.json`` artifacts into one
-  perf-trajectory report.
+  ``SPEEDUP_*.json`` artifacts into one perf-trajectory report.
 * ``lint`` — run the determinism linter (rules DET001–DET005, see
   ``docs/static_analysis.md``) over source paths; exits nonzero on
   findings not grandfathered by the committed baseline.
@@ -35,7 +34,7 @@ Commands:
 
 ``route``, ``compare``, and ``diag`` accept ``--sanitize`` to route
 with the speculation-footprint sanitizer enabled, and ``--perf`` to
-enable the engine profiling counters (``counters``) or full live
+enable the search profiling counters (``counters``) or full live
 progress events (``full``); ``route --stream FILE`` streams the run's
 events to an NDJSON file that ``repro watch FILE`` can tail.
 
@@ -129,7 +128,6 @@ def _run_config(args: argparse.Namespace) -> RouterConfig:
     return RouterConfig(
         workers=args.workers,
         sanitize=getattr(args, "sanitize", False),
-        engine=getattr(args, "engine", "auto"),
         profile=getattr(args, "perf", "off"),
         executor=getattr(args, "executor", "auto"),
     )
@@ -646,7 +644,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     config = RouterConfig(
         workers=args.workers,
         sanitize=getattr(args, "sanitize", False),
-        engine=getattr(args, "engine", "auto"),
         profile=getattr(args, "perf", "off"),
         audit=True,
     )
@@ -738,15 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
             "undeclared access (see docs/static_analysis.md)",
         )
         p.add_argument(
-            "--engine",
-            choices=("object", "array", "auto"),
-            default="auto",
-            help="routing engine: the object-graph reference, the "
-            "numpy-backed array core, or auto (array when numpy is "
-            "available; both produce byte-identical reports, see "
-            "docs/performance.md)",
-        )
-        p.add_argument(
             "--executor",
             choices=("auto", "thread", "process"),
             default="auto",
@@ -760,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--perf",
             choices=("off", "counters", "full"),
             default="off",
-            help="engine profiling: 'counters' records perf_* engine "
+            help="search profiling: 'counters' records perf_* search "
             "counters (heap traffic, overlay churn, cache refreshes) "
             "in the trace, 'full' additionally emits per-net/per-task "
             "progress events; 'off' is zero-cost and byte-identical "

@@ -19,24 +19,18 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import importlib.util
 import os
+import warnings
 from typing import Union
 
 
 class Engine(enum.Enum):
-    """Which routing-engine implementation the flow runs on.
+    """Deprecated: the router has one engine, so this selects nothing.
 
-    Both engines execute the *same algorithms* and produce byte-identical
-    :class:`~repro.eval.RoutingReport` documents (counters, histograms,
-    traces modulo wall times); they differ only in their data layout:
-
-    * ``OBJECT`` — the reference implementation: dict/tuple object
-      graphs, one Python object per grid node.
-    * ``ARRAY`` — the :mod:`repro.engine` array core: flat node-indexed
-      base-cost/ownership arrays built once per stage and an indexed A*
-      that works on integer node ids (see ``docs/performance.md``).
-    * ``AUTO`` — ``ARRAY`` when numpy is importable, else ``OBJECT``.
+    Kept for one release of :class:`DeprecationWarning` (the
+    ``repro.api`` import-stability policy).  ``AUTO`` and ``ARRAY``
+    both name the one engine; ``OBJECT`` is still a member so old
+    values parse, but every use of it raises :class:`ValueError`.
     """
 
     OBJECT = "object"
@@ -44,20 +38,38 @@ class Engine(enum.Enum):
     AUTO = "auto"
 
 
-def resolve_engine(engine: Union[Engine, str] = Engine.AUTO) -> Engine:
-    """Concrete engine for a requested value.
+_ENGINE_REMOVED = (
+    "the object engine was removed; the router has one engine, so "
+    "engine= selects nothing (accepted values: 'auto', 'array')"
+)
 
-    ``AUTO`` resolves to :attr:`Engine.ARRAY` when numpy is importable
-    (it is a project dependency, so effectively always) and falls back
-    to :attr:`Engine.OBJECT` on minimal installs.
+
+def _check_engine(engine: Union[Engine, str]) -> Engine:
+    """Parse a deprecated engine value; ``ValueError`` on ``object``."""
+    try:
+        value = Engine(engine)
+    except ValueError:
+        raise ValueError(
+            f"engine must be one of 'auto', 'array', got {engine!r}"
+        ) from None
+    if value is Engine.OBJECT:
+        raise ValueError(_ENGINE_REMOVED)
+    return value
+
+
+def resolve_engine(engine: Union[Engine, str] = Engine.AUTO) -> Engine:
+    """Deprecated: always :attr:`Engine.ARRAY`, the one engine.
+
+    Raises:
+        ValueError: for ``"object"`` (removed) or an unknown value.
     """
-    if isinstance(engine, str):
-        engine = Engine(engine)
-    if engine is not Engine.AUTO:
-        return engine
-    if importlib.util.find_spec("numpy") is not None:
-        return Engine.ARRAY
-    return Engine.OBJECT
+    warnings.warn(
+        "resolve_engine is deprecated: the router has one engine",
+        DeprecationWarning,
+        stacklevel=2,
+    )
+    _check_engine(engine)
+    return Engine.ARRAY
 
 
 class ExecutorKind(enum.Enum):
@@ -143,13 +155,11 @@ class RouterConfig:
         max_ripup_iterations: rip-up and re-route rounds for failed nets.
         detail_expansion_limit: A* node-expansion budget per net and
             attempt; keeps worst-case detailed routing bounded.
-        engine: routing-engine implementation (:class:`Engine` or its
-            string form).  ``"object"`` is the reference object-graph
-            implementation, ``"array"`` the :mod:`repro.engine` array
-            core, and ``"auto"`` (the default) picks the array core
-            whenever numpy is importable.  Both engines produce
-            byte-identical reports — the engine is a pure performance
-            knob (see ``docs/performance.md``).
+        engine: deprecated; selects nothing.  ``"auto"`` (the
+            default) and ``"array"`` are accepted, a value passed
+            explicitly warns with :class:`DeprecationWarning`, and
+            ``"object"`` raises :class:`ValueError` (the object engine
+            was removed).
         workers: routing worker threads.  ``1`` (the default) runs the
             unchanged serial code path; ``N > 1`` routes conflict-free
             net batches concurrently and merges them deterministically,
@@ -238,12 +248,15 @@ class RouterConfig:
             object.__setattr__(
                 self, "coloring", ColoringMethod(self.coloring)
             )
-        if isinstance(self.engine, str):
-            object.__setattr__(self, "engine", Engine(self.engine))
-        if not isinstance(self.engine, Engine):
-            raise ValueError(
-                f"engine must be an Engine or one of "
-                f"{[e.value for e in Engine]}, got {self.engine!r}"
+        if self.engine is not Engine.AUTO:
+            # Only an explicitly passed value reaches here (the default
+            # is the AUTO member itself): parse it, reject "object".
+            object.__setattr__(self, "engine", _check_engine(self.engine))
+            warnings.warn(
+                "RouterConfig(engine=...) is deprecated: the router has "
+                "one engine, so the field selects nothing",
+                DeprecationWarning,
+                stacklevel=3,
             )
         if self.stitch_spacing < 3:
             raise ValueError("stitch_spacing must be at least 3 pitches")
@@ -293,8 +306,8 @@ def benchmark_scale(default: float = 0.1) -> float:
     environment variable ``REPRO_FULL=1`` for full-size instances, or
     ``REPRO_SCALE=<float>`` for an explicit factor.  Factors above 1
     (up to 100) grow the instance beyond the paper's statistics —
-    engine-speedup measurements use them to build workloads large
-    enough that wall-clock ratios are meaningful.
+    speedup measurements use them to build workloads large enough that
+    wall-clock ratios are meaningful.
     """
     if os.environ.get("REPRO_FULL") == "1":
         return 1.0

@@ -1,6 +1,6 @@
 """Speculative-routing overlay for the detailed routing grid.
 
-A worker thread in the parallel net-batch engine (see
+A worker thread in the parallel net-batch router (see
 :mod:`repro.parallel`) connects its net against a
 :class:`GridOverlay`: reads see the grid as of the batch barrier plus
 the net's own writes, writes are buffered as a replayable delta, and
@@ -19,26 +19,62 @@ from .grid import DetailedGrid, Node
 
 
 class _OwnerOverlay:
-    """Ownership mapping that shadows a base dict and logs access.
+    """Ownership mapping that shadows a grid's ``_owner`` dict and logs access.
 
     Presents the ``get`` / ``__setitem__`` / ``__delitem__`` surface
     :class:`DetailedGrid` uses on its ``_owner`` dict.  Deletions are
     tombstoned so a released base-owned node reads back as free.
+    Every buffered write is mirrored as a net id into ``local_ids``
+    (``RELEASED`` for a tombstone), which the indexed search consults
+    before falling back to the base grid's id array — the exact view
+    the dict surface presents.
     """
 
-    __slots__ = ("_base", "local", "reads", "writes")
+    __slots__ = (
+        "_base",
+        "local",
+        "reads",
+        "writes",
+        "local_ids",
+        "_grid_ids",
+        "_extra_ids",
+        "_encode_node",
+    )
 
     #: Marks a node released in the overlay while still set in base.
     TOMBSTONE = "\0released"
 
-    def __init__(self, base: dict[Node, str]) -> None:
-        self._base = base
+    #: Integer twin of :attr:`TOMBSTONE` in ``local_ids``.
+    RELEASED = -1
+
+    def __init__(self, base: DetailedGrid) -> None:
+        self._base = base._owner
+        self._encode_node = base._encode
+        self._grid_ids = base._net_ids
         #: node -> net name, or TOMBSTONE for overlay-released nodes.
         self.local: dict[Node, str] = {}
         #: every node whose ownership the worker observed.
         self.reads: set[Node] = set()
         #: every node the worker wrote (claimed or released).
         self.writes: set[Node] = set()
+        #: node id -> net id, or RELEASED (mirror of ``local``).
+        self.local_ids: dict[int, int] = {}
+        #: Ids minted locally for names outside the preregistered
+        #: netlist (defensive; searches only route netlist nets).
+        #: Negative below the tombstone so they collide with nothing,
+        #: and local so worker threads never grow the shared registry.
+        self._extra_ids: dict[str, int] = {}
+
+    def id_of(self, net: str) -> int:
+        """Ownership-array id of ``net`` without touching the registry."""
+        nid = self._grid_ids.get(net)
+        if nid is not None:
+            return nid
+        extra = self._extra_ids.get(net)
+        if extra is None:
+            extra = -2 - len(self._extra_ids)
+            self._extra_ids[net] = extra
+        return extra
 
     def get(self, node: Node, default: Optional[str] = None) -> Optional[str]:
         self.reads.add(node)
@@ -52,25 +88,29 @@ class _OwnerOverlay:
     def __setitem__(self, node: Node, net: str) -> None:
         self.writes.add(node)
         self.local[node] = net
+        self.local_ids[self._encode_node(node)] = self.id_of(net)
 
     def __delitem__(self, node: Node) -> None:
         self.writes.add(node)
         self.local[node] = _OwnerOverlay.TOMBSTONE
+        self.local_ids[self._encode_node(node)] = _OwnerOverlay.RELEASED
 
 
 class GridOverlay(DetailedGrid):
     """A :class:`DetailedGrid` whose ownership writes are buffered.
 
-    Geometry caches, the pin set, and the base ownership dict are
-    shared by reference (all frozen while a batch is in flight); every
-    ownership access goes through an :class:`_OwnerOverlay`, giving
-    the merge loop exact read/write node sets.  ``cost_evaluations``
-    starts at zero so accepted counts merge additively.
+    Geometry caches, the pin set, the base ownership dict and the flat
+    step/via/pin/id arrays are shared by reference (all frozen while a
+    batch is in flight); every ownership access goes through an
+    :class:`_OwnerOverlay`, and every indexed ownership consult is
+    logged in ``_reads_idx``, giving the merge loop exact read/write
+    node sets.  ``cost_evaluations`` starts at zero so accepted counts
+    merge additively.
     """
 
     def __init__(self, base: DetailedGrid) -> None:
         # Deliberately skips DetailedGrid.__init__ (per-x precomputes
-        # are borrowed, not rebuilt).
+        # and the flat arrays are borrowed, not rebuilt).
         self.design = base.design
         self.config = base.config
         self.tech = base.tech
@@ -84,14 +124,32 @@ class GridOverlay(DetailedGrid):
         self._num_layers = base._num_layers
         self._width = base._width
         self._height = base._height
+        self._hl = base._hl
+        self._step = base._step
+        self._via_extra = base._via_extra
+        self._owner_ids = base._owner_ids
+        self._pin_mask = base._pin_mask
         self.cost_evaluations = 0
-        self._owner = _OwnerOverlay(base._owner)
+        self._owner = _OwnerOverlay(base)
+        self._local_ids = self._owner.local_ids
+        self._reads_idx = set()
+
+    def _net_id(self, net: str) -> int:
+        return self._owner.id_of(net)
+
+    def _mirror_owner(self, node: Node, net: Optional[str]) -> None:
+        # The owner overlay already mirrored the buffered write into
+        # ``local_ids``; the shared base arrays must stay untouched.
+        pass
 
     # -- speculative-result plumbing -----------------------------------
     @property
     def read_nodes(self) -> set[Node]:
-        """Nodes whose ownership this overlay observed."""
-        return self._owner.reads
+        """Nodes whose ownership this overlay observed (both surfaces)."""
+        decode = self._decode
+        reads_idx = self._reads_idx
+        assert reads_idx is not None
+        return self._owner.reads | {decode(i) for i in reads_idx}
 
     @property
     def write_nodes(self) -> set[Node]:

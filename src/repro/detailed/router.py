@@ -27,7 +27,6 @@ from typing import Optional, Union
 
 from ..analysis.context import context
 from ..assign import DesignTrackAssignment
-from ..engine.deltas import OverlayDelta
 from ..globalroute import GlobalGraph
 from ..layout import Design, Net
 from ..observe import Span, Tracer, ensure
@@ -37,6 +36,7 @@ from ..parallel import (
     SharedStateChannel,
     plan_batches,
 )
+from .deltas import OverlayDelta
 from .grid import DetailedGrid, Node
 from .overlay import GridOverlay
 from .search import astar_connect, connection_window
@@ -182,14 +182,8 @@ class DetailedRouter:
             declared read/write footprints, raising
             :class:`~repro.analysis.SanitizerViolation` on any
             undeclared access (see ``docs/static_analysis.md``).
-        engine: concrete engine name — ``"object"`` routes on the
-            reference :class:`DetailedGrid`, ``"array"`` on the
-            :class:`~repro.engine.ArrayDetailedGrid` array core.  The
-            two produce byte-identical results (``docs/performance.md``);
-            resolve ``"auto"`` with :func:`repro.config.resolve_engine`
-            before constructing the router.
         profile: ``"off"`` / ``"counters"`` / ``"full"``.  ``"counters"``
-            flushes engine-level ``perf_*`` counters (heap pushes/pops,
+            flushes search-level ``perf_*`` counters (heap pushes/pops,
             overlay node churn, rip-up net visits) at stage boundaries;
             ``"full"`` additionally reports per-net commits through
             :meth:`Tracer.progress` (see ``docs/observability.md``).
@@ -197,7 +191,7 @@ class DetailedRouter:
             (in-process) or ``"process"`` (multiprocessing pool; the
             grid's committed ownership changes stream to workers as
             shared-memory journal frames and workers ship back
-            :class:`~repro.engine.OverlayDelta` wire forms).
+            :class:`~repro.detailed.deltas.OverlayDelta` wire forms).
             Byte-identical output either way; resolve ``"auto"`` with
             :func:`repro.config.resolve_executor` before constructing
             the router.
@@ -208,14 +202,9 @@ class DetailedRouter:
         stitch_aware: bool = True,
         workers: int = 1,
         sanitize: bool = False,
-        engine: str = "object",
         profile: str = "off",
         executor: str = "thread",
     ) -> None:
-        if engine not in ("object", "array"):
-            raise ValueError(
-                f"engine must be 'object' or 'array', got {engine!r}"
-            )
         if profile not in ("off", "counters", "full"):
             raise ValueError(
                 f"profile must be 'off', 'counters' or 'full', got {profile!r}"
@@ -227,7 +216,6 @@ class DetailedRouter:
         self.stitch_aware = stitch_aware
         self.workers = workers
         self.sanitize = sanitize
-        self.engine = engine
         self.profile = profile
         self.executor = executor
         self._profiling = profile != "off"
@@ -301,14 +289,7 @@ class DetailedRouter:
             "detailed-route", nets=len(design.netlist)
         ) as stage:
             with tracer.span("grid-build"):
-                if self.engine == "array":
-                    from ..engine import ArrayDetailedGrid
-
-                    grid: DetailedGrid = ArrayDetailedGrid(
-                        design, stitch_aware=self.stitch_aware
-                    )
-                else:
-                    grid = DetailedGrid(design, stitch_aware=self.stitch_aware)
+                grid = DetailedGrid(design, stitch_aware=self.stitch_aware)
                 nets = list(order_hint) if order_hint is not None else sorted(
                     design.netlist, key=lambda n: (n.hpwl, n.name)
                 )
@@ -515,7 +496,6 @@ class DetailedRouter:
                 stitch_aware=self.stitch_aware,
                 workers=1,
                 sanitize=self.sanitize,
-                engine=self.engine,
                 profile=self.profile,
             )
             pool.configure(

@@ -4,6 +4,11 @@ Connects a source component of a net to any node of a target set under
 the stitch-aware weighted grid cost of Eq. (10).  The search runs
 inside an expanding window around the endpoints; the cost function and
 hard-constraint filtering live in :class:`~repro.detailed.grid.DetailedGrid`.
+
+:func:`astar_connect` is the search the router runs: it hands the heap
+loop to :meth:`DetailedGrid.indexed_search`.  :func:`reference_astar`
+is the same search written plainly over tuple nodes and
+:meth:`DetailedGrid.neighbors`; tests hold the indexed loop to it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from ..analysis.pairing import paired
 from .grid import DetailedGrid, Node
 
 
-@paired("detailed-astar", backend="object")
 def astar_connect(
     grid: DetailedGrid,
     net: str,
@@ -52,36 +56,50 @@ def astar_connect(
 
     Returns:
         The node path from a source to a target, or ``None``.
+
+    The heap loop is :meth:`DetailedGrid.indexed_search`, which runs on
+    flat node ids and precomputed cost arrays; it produces exactly the
+    paths and counters of :func:`reference_astar`.
     """
-    if stats is not None:
-        stats["astar_searches"] = (  # repro: allow-PAR001 object-only entry counter
-            stats.get("astar_searches", 0) + 1
-        )
-    if not sources or not targets:
-        return None
-    if sources & targets:
-        # Any shared node is already a complete source-to-target path;
-        # nodes are int-coordinate tuples, so the set order behind this
-        # pick is hash-seed independent and reproducible as committed.
-        node = next(iter(sources & targets))  # repro: allow-DET005
-        return [node]
-    indexed = getattr(grid, "indexed_search", None)
-    if indexed is not None:
-        # Array-core fast path (repro.engine): same loop over flat
-        # node ids, byte-identical result and counters.  Sanitized
-        # overlays expose no indexed_search, so instrumented runs fall
-        # through to the reference loop below.
-        return indexed(
-            net,
-            sources,
-            targets,
-            window,
-            expansion_limit,
-            blocked=blocked,
-            foreign_penalty=foreign_penalty,
-            stats=stats,
-            profile=profile,
-        )
+    settled, path = _settle(sources, targets, stats)
+    if settled:
+        return path
+    return grid.indexed_search(
+        net,
+        sources,
+        targets,
+        window,
+        expansion_limit,
+        blocked=blocked,
+        foreign_penalty=foreign_penalty,
+        stats=stats,
+        profile=profile,
+    )
+
+
+@paired("detailed-astar", backend="object")
+def reference_astar(
+    grid: DetailedGrid,
+    net: str,
+    sources: set[Node],
+    targets: set[Node],
+    window: tuple[int, int, int, int],
+    expansion_limit: int,
+    blocked: Optional[set[Node]] = None,
+    foreign_penalty: Optional[float] = None,
+    stats: Optional[dict[str, float]] = None,
+    profile: bool = False,
+) -> Optional[list[Node]]:
+    """Plain A* over :meth:`DetailedGrid.neighbors`, written as Eq. (10) reads.
+
+    Same arguments, result and counters as :func:`astar_connect`.  It
+    is the readable reference the indexed search is tested against
+    (``tests/detailed/test_indexed_search.py``); the router never
+    calls it.
+    """
+    settled, path = _settle(sources, targets, stats)
+    if settled:
+        return path
     lo_x, lo_y, hi_x, hi_y = window
 
     # O(1) heuristic: distance to the targets' bounding box, weighted
@@ -149,6 +167,31 @@ def astar_connect(
                     stats.get("perf_heap_pushes", 0) + pushes
                 )
                 stats["perf_heap_pops"] = stats.get("perf_heap_pops", 0) + pops
+
+
+def _settle(
+    sources: set[Node],
+    targets: set[Node],
+    stats: Optional[dict[str, float]],
+) -> tuple[bool, Optional[list[Node]]]:
+    """Shared preamble: count the search, settle the trivial cases.
+
+    Returns ``(True, result)`` when no heap loop is needed: an empty
+    endpoint set has no path, and a shared node is a complete path.
+    """
+    if stats is not None:
+        # Shared by both searches: astar_connect counts indexed searches here.
+        stats["astar_searches"] = (  # repro: allow-PAR001 shared preamble
+            stats.get("astar_searches", 0) + 1
+        )
+    if not sources or not targets:
+        return True, None
+    if sources & targets:
+        # Nodes are int-coordinate tuples, so the set order behind this
+        # pick is hash-seed independent and reproducible as committed.
+        node = next(iter(sources & targets))  # repro: allow-DET005
+        return True, [node]
+    return False, None
 
 
 def _reconstruct(

@@ -10,10 +10,16 @@ needing special cases.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import GlobalGraph, Tile
+if TYPE_CHECKING:  # graph imports this module for its cost caches
+    from .graph import GlobalGraph, Tile
+
+#: Weight of one tile hop in the A* cost; small so congestion dominates
+#: but paths stay short when congestion is zero.
+WL_WEIGHT = 0.1
 
 #: Cost assigned per unit of demand on a zero-capacity resource.
 _ZERO_CAPACITY_PENALTY = 64.0
@@ -57,8 +63,8 @@ def edge_cost_if_used(graph: GlobalGraph, key: tuple[str, int, int]) -> float:
     )
     return (
         congestion_cost(
-            graph.edge_demand(key) + 1,  # repro: allow-PAR004 array reads via price cache
-            graph.edge_capacity(key),  # repro: allow-PAR004 array reads via price cache
+            graph.edge_demand(key) + 1,
+            graph.edge_capacity(key),
         )
         + history
     )
@@ -105,9 +111,9 @@ def congestion_cost_array(demand, capacity):
     penalty where capacity is non-positive, and ``2^(d/c) - 1``
     elsewhere.  ``numpy.exp2`` may differ from the scalar kernel's
     CPython ``2.0 ** x`` in the last ulp, so this kernel serves bulk
-    analysis (congestion maps, overflow summaries); the array engine's
-    cost *caches* call the scalar functions per entry precisely
-    because the engines must agree bit for bit (see
+    analysis (congestion maps, overflow summaries); the global graph's
+    cost *caches* call the scalar functions per entry so every cached
+    step price equals the scalar kernel bit for bit (see
     ``docs/performance.md``).
     """
     d = np.asarray(demand, dtype=np.float64)

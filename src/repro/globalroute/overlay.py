@@ -1,6 +1,6 @@
 """Speculative-routing overlay for the global routing graph.
 
-A worker thread in the parallel net-batch engine (see
+A worker thread in the parallel net-batch router (see
 :mod:`repro.parallel`) must route its net against the exact demand
 state the serial router would have shown it, without mutating arrays
 its batch-mates are reading.  :class:`GraphSnapshot` gives each worker
@@ -28,9 +28,13 @@ class GraphSnapshot(GlobalGraph):
     worker's placements — including the interaction between one net's
     own subnets — stay invisible to its batch-mates.
 
-    Reads are *not* intercepted (numpy indexing is the hot path);
-    instead the router records every A* window it searched, which
-    bounds all demand reads, as the snapshot's read footprint.
+    The cost caches are cloned rather than rebuilt — the live graph
+    keeps its entries fresh through the demand mutators, making them
+    exactly the per-batch state a rebuild would produce, at list-copy
+    cost.  Reads are *not* intercepted (cache indexing is the hot
+    path); instead the router records every A* window it searched,
+    which bounds all demand and cache reads, as the snapshot's read
+    footprint.
     """
 
     def __init__(self, base: GlobalGraph) -> None:
@@ -49,6 +53,9 @@ class GraphSnapshot(GlobalGraph):
         self.h_demand = base.h_demand.copy()
         self.v_demand = base.v_demand.copy()
         self.vertex_demand = base.vertex_demand.copy()
+        self._h_cost = [row[:] for row in base._h_cost]
+        self._v_cost = [row[:] for row in base._v_cost]
+        self._v_price = [row[:] for row in base._v_price]
 
 
 def windows_hit(windows: Iterable[Rect], tiles: set[Tile]) -> bool:

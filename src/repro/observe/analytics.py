@@ -487,9 +487,8 @@ class PerfHistory:
     """Perf-trajectory rollup of a directory of benchmark artifacts.
 
     Built by :func:`collect_perf_history` from the committed
-    ``BENCH_<circuit>.json`` snapshots (per-router traces),
-    ``SPEEDUP_ENGINE_<circuit>.json`` (object vs. array engine walls)
-    and ``SPEEDUP_<circuit>.json`` / ``SPEEDUP_PROC_<circuit>.json``
+    ``BENCH_<circuit>.json`` snapshots (per-router traces) and
+    ``SPEEDUP_<circuit>.json`` / ``SPEEDUP_PROC_<circuit>.json``
     (serial vs. workers walls — the ``PROC_`` prefix marks
     process-executor runs, and every row records its executor).
 
@@ -497,20 +496,18 @@ class PerfHistory:
         directory: where the artifacts were collected from.
         bench_rows: one row per circuit x router label with wall/CPU
             seconds, stage walls and the deterministic work counters.
-        engine_rows: one row per engine-speedup artifact.
         workers_rows: one row per circuit x router label of a
             workers-speedup artifact.
     """
 
     directory: str
     bench_rows: list[dict]
-    engine_rows: list[dict]
     workers_rows: list[dict]
 
     @property
     def empty(self) -> bool:
         """Whether no artifact of any kind was found."""
-        return not (self.bench_rows or self.engine_rows or self.workers_rows)
+        return not (self.bench_rows or self.workers_rows)
 
 
 #: Deterministic whole-run counters worth tracking over time — the
@@ -528,7 +525,6 @@ def collect_perf_history(directory: PathLike) -> PerfHistory:
     """
     root = pathlib.Path(directory)
     bench_rows: list[dict] = []
-    engine_rows: list[dict] = []
     workers_rows: list[dict] = []
 
     for path in sorted(root.glob("BENCH_*.json")):
@@ -562,25 +558,7 @@ def collect_perf_history(directory: PathLike) -> PerfHistory:
                 row[name] = counters.get(name, 0)
             bench_rows.append(row)
 
-    for path in sorted(root.glob("SPEEDUP_ENGINE_*.json")):
-        try:
-            data = json.loads(path.read_text())
-            engine_rows.append(
-                {
-                    "circuit": data["circuit"],
-                    "scale": data.get("scale", ""),
-                    "object_s": data["object_wall_seconds"],
-                    "array_s": data["array_wall_seconds"],
-                    "speedup": data["speedup"],
-                    "repeats": data.get("repeats", ""),
-                }
-            )
-        except (ValueError, KeyError, TypeError):
-            continue
-
     for path in sorted(root.glob("SPEEDUP_*.json")):
-        if path.name.startswith("SPEEDUP_ENGINE_"):
-            continue
         circuit = path.stem[len("SPEEDUP_"):]
         if circuit.startswith("PROC_"):
             # Process-executor artifacts carry a PROC_ filename prefix
@@ -603,7 +581,6 @@ def collect_perf_history(directory: PathLike) -> PerfHistory:
                         "serial_s": entry["serial_wall_seconds"],
                         "parallel_s": entry["parallel_wall_seconds"],
                         "workers": entry["workers"],
-                        "engine": entry.get("engine", ""),
                         "executor": entry.get("executor", "thread"),
                         "speedup": entry["speedup"],
                     }
@@ -614,7 +591,6 @@ def collect_perf_history(directory: PathLike) -> PerfHistory:
     return PerfHistory(
         directory=str(root),
         bench_rows=bench_rows,
-        engine_rows=engine_rows,
         workers_rows=workers_rows,
     )
 
@@ -633,18 +609,9 @@ def render_perf_history(history: PerfHistory, fmt: str = "plain") -> str:
                 f"benchmark snapshots ({history.directory})", fmt, decimals=3,
             )
         )
-    if history.engine_rows:
-        columns = ["circuit", "scale", "object_s", "array_s", "speedup",
-                   "repeats"]
-        sections.append(
-            _render_rows(
-                history.engine_rows, columns,
-                "engine speedups (object vs array)", fmt, decimals=3,
-            )
-        )
     if history.workers_rows:
         columns = ["circuit", "router", "serial_s", "parallel_s", "workers",
-                   "engine", "executor", "speedup"]
+                   "executor", "speedup"]
         sections.append(
             _render_rows(
                 history.workers_rows, columns,

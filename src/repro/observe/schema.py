@@ -11,9 +11,8 @@ from it now, and the static parity analyzer's PAR005 rule fails any
 
 Identity is ``(kind, name)`` — names may repeat across kinds (the
 multilevel scheme emits a ``level`` *span* carrying a ``level``
-*gauge*) but never within one.  Backend coverage is a set of tags
-over two axes, engine (``object`` / ``array``) and executor
-(``serial`` / ``thread`` / ``process``): a metric tagged with a
+*gauge*) but never within one.  Backend coverage is a set of
+executor tags (``serial`` / ``thread`` / ``process``): a metric tagged with a
 backend *may* appear under it, and a metric missing one *never* does
 (``parallel_ipc_publishes`` carries no ``serial`` or ``thread`` tag —
 only the process pool publishes over IPC).  The live-run completeness
@@ -39,17 +38,14 @@ from typing import Optional
 #: The four observability primitives a tracer records.
 KINDS = ("counter", "gauge", "span", "progress")
 
-#: Engine-axis backend tags (``RouterConfig.engine``).
-ENGINE_BACKENDS = frozenset({"object", "array"})
-
-#: Executor-axis backend tags (``RouterConfig.workers`` / ``executor``).
+#: Executor backend tags (``RouterConfig.workers`` / ``executor``).
 EXECUTOR_BACKENDS = frozenset({"serial", "thread", "process"})
 
-#: Full coverage: emitted under every engine and executor.
-ALL_BACKENDS = ENGINE_BACKENDS | EXECUTOR_BACKENDS
+#: Full coverage: emitted under every executor.
+ALL_BACKENDS = EXECUTOR_BACKENDS
 
-#: Coverage of workers>1 bookkeeping: both engines, no serial runs.
-PARALLEL_BACKENDS = ENGINE_BACKENDS | frozenset({"thread", "process"})
+#: Coverage of workers>1 bookkeeping: no serial runs.
+PARALLEL_BACKENDS = frozenset({"thread", "process"})
 
 #: Strippable categories and the name prefix each one owns.  The
 #: regression gate scrubs by prefix; the registry enforces at import
@@ -247,9 +243,9 @@ _register(
     "Shared-state footprint violations the sanitizer flagged.",
 )
 _register(
-    "sanitize_cells_checked", "counter", _DETAILED, ALL_BACKENDS,
+    "sanitize_cells_checked", "counter", _GLOBAL, ALL_BACKENDS,
     "sanitize",
-    "Grid cells swept by the detailed-stage sanitizer.",
+    "Demand and cost-cache cells the global-stage sanitizer checked.",
 )
 _register(
     "sanitize_nets_checked", "counter", _BOTH_ROUTE, ALL_BACKENDS,
@@ -257,9 +253,9 @@ _register(
     "Nets swept by the overlay sanitizer.",
 )
 _register(
-    "sanitize_nodes_checked", "counter", _GLOBAL, ALL_BACKENDS,
+    "sanitize_nodes_checked", "counter", _DETAILED, ALL_BACKENDS,
     "sanitize",
-    "Graph nodes swept by the global-stage sanitizer.",
+    "Ownership reads and writes the detailed-stage sanitizer checked.",
 )
 
 # -- scheduling bookkeeping (workers > 1; no serial counterpart) ------
@@ -280,12 +276,12 @@ _register(
 )
 _register(
     "parallel_ipc_publishes", "counter", _BOTH_ROUTE,
-    ENGINE_BACKENDS | frozenset({"process"}), "scheduling",
+    frozenset({"process"}), "scheduling",
     "Shared-memory state publications by the process pool.",
 )
 _register(
     "parallel_ipc_publish_bytes", "counter", _BOTH_ROUTE,
-    ENGINE_BACKENDS | frozenset({"process"}), "scheduling",
+    frozenset({"process"}), "scheduling",
     "Bytes shipped over shared memory by the process pool.",
 )
 _register(
@@ -322,13 +318,13 @@ _register(
 )
 _register(
     "perf_cache_refreshes", "counter", _GLOBAL,
-    frozenset({"array"}) | EXECUTOR_BACKENDS, "profiling",
-    "Full cost-cache rebuilds by the array global graph.",
+    ALL_BACKENDS, "profiling",
+    "Full cost-cache rebuilds by the global graph.",
 )
 _register(
     "perf_cache_updates", "counter", _GLOBAL,
-    frozenset({"array"}) | EXECUTOR_BACKENDS, "profiling",
-    "Incremental cost-cache updates by the array global graph.",
+    ALL_BACKENDS, "profiling",
+    "Incremental cost-cache updates by the global graph.",
 )
 _register(
     "perf_snapshot_clones", "counter", _GLOBAL, PARALLEL_BACKENDS,
@@ -581,7 +577,6 @@ def history_counters() -> tuple[str, ...]:
 __all__ = [
     "ALL_BACKENDS",
     "CATEGORY_PREFIXES",
-    "ENGINE_BACKENDS",
     "EXECUTOR_BACKENDS",
     "KINDS",
     "MetricSpec",

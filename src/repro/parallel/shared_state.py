@@ -9,7 +9,7 @@ task.  Three ``multiprocessing.shared_memory`` segments back it:
 * a fixed control block (epoch, journal length, journal generation,
   journal capacity) — the only words workers poll;
 * one packed array block holding every exported numpy array
-  (demand/history grids, array-engine cost caches) at fixed offsets,
+  (demand/history grids, global cost caches) at fixed offsets,
   overwritten in place on publish so workers read it zero-copy;
 * a growable journal block of length-prefixed binary frames (the
   detailed grid's ownership deltas), appended on publish and replayed

@@ -1,11 +1,17 @@
 """Speculation-footprint sanitizer: injection and integration tests.
 
 The sanitized overlays must (a) stay silent on protocol-conforming
-access, (b) fail loudly on every class of undeclared access, and
-(c) catch a bypass injected into the real speculative routing path.
+access, (b) fail loudly on every class of undeclared access, (c) catch
+a bypass injected into the real speculative routing path, and (d) run
+the same indexed searches production runs — the sanitizer audits the
+code that executes, not a reference path beside it.
 """
 
 import pytest
+
+from repro.benchmarks_gen import mcnc_design
+from repro.detailed.grid import DetailedGrid as _Grid
+from repro.globalroute.graph import GlobalGraph as _Graph
 
 from repro.analysis import (
     SanitizedGraphSnapshot,
@@ -34,6 +40,18 @@ def make_design(nets=None, width=90, height=90):
         netlist=Netlist(nets),
         config=config,
     )
+
+
+def wide_quad_design():
+    """Four nets whose tile rects stay apart even after the global
+    router's window margin: speculative batches in *both* stages."""
+    nets = [
+        Net("n0", (Pin("a", Point(2, 2), 1), Pin("b", Point(40, 20), 1))),
+        Net("n1", (Pin("c", Point(250, 2), 1), Pin("d", Point(290, 20), 1))),
+        Net("n2", (Pin("e", Point(2, 250), 1), Pin("f", Point(40, 290), 1))),
+        Net("n3", (Pin("g", Point(250, 250), 1), Pin("h", Point(290, 290), 1))),
+    ]
+    return make_design(nets=nets, width=300, height=300)
 
 
 def quad_design():
@@ -98,6 +116,38 @@ class TestSanitizedGraphSnapshot:
         with pytest.raises(SanitizerViolation, match="unauditable"):
             _ = snap.h_demand[:, 0]
 
+    def test_cost_cache_read_outside_windows_raises(self):
+        snap = SanitizedGraphSnapshot(GlobalGraph(make_design()))
+        _ = snap._v_price[4][4]
+        with pytest.raises(SanitizerViolation, match="undeclared demand"):
+            snap.verify([(0, 0, 1, 1)])
+
+    def test_cost_cache_edge_read_needs_both_tiles(self):
+        snap = SanitizedGraphSnapshot(GlobalGraph(make_design()))
+        _ = snap._h_cost[1][1]
+        with pytest.raises(SanitizerViolation):
+            snap.verify([(1, 1, 1, 1)])
+        snap.verify([(1, 1, 2, 1)])
+
+    def test_indexed_search_inside_window_verifies_clean(self):
+        snap = SanitizedGraphSnapshot(GlobalGraph(make_design()))
+        window = (0, 0, 3, 3)
+        stats = {}
+        path = snap.astar_in_window((0, 0), (3, 2), window, True, stats)
+        assert path is not None and path[-1] == (3, 2)
+        assert snap.demand_accesses  # the cache reads were audited
+        snap.verify([window], stats)
+        assert stats["sanitize_cells_checked"] == len(snap.demand_accesses)
+
+    def test_demand_mutator_writes_clone_not_base(self):
+        graph = GlobalGraph(make_design())
+        before = graph._h_cost[0][0]
+        snap = SanitizedGraphSnapshot(graph)
+        snap.add_edge_demand(("h", 0, 0), 5)
+        assert graph._h_cost[0][0] == before
+        assert snap._h_cost[0][0] > before
+        snap.verify([(0, 0, 1, 0)])
+
 
 class TestSanitizedGridOverlay:
     def test_conforming_access_verifies_clean(self):
@@ -130,6 +180,42 @@ class TestSanitizedGridOverlay:
         overlay = SanitizedGridOverlay(DetailedGrid(make_design()))
         with pytest.raises(SanitizerViolation, match="pin-set mutation"):
             overlay._pins.add((1, 1, 1))
+
+    def test_indexed_owner_id_read_without_log_raises(self):
+        overlay = SanitizedGridOverlay(DetailedGrid(make_design()))
+        idx = overlay._encode((7, 7, 1))
+        with pytest.raises(SanitizerViolation, match="bypassed the overlay"):
+            overlay._owner_ids[idx]
+        overlay._reads_idx.add(idx)  # the search logs first, then reads
+        assert overlay._owner_ids[idx] == 0
+
+    def test_indexed_pin_mask_read_without_log_raises(self):
+        overlay = SanitizedGridOverlay(DetailedGrid(make_design()))
+        with pytest.raises(SanitizerViolation, match="pin-mask"):
+            overlay._pin_mask[overlay._encode((1, 1, 1))]
+
+    def test_indexed_array_writes_raise(self):
+        overlay = SanitizedGridOverlay(DetailedGrid(make_design()))
+        idx = overlay._encode((3, 3, 1))
+        with pytest.raises(SanitizerViolation, match="live ownership-id"):
+            overlay._owner_ids[idx] = 1
+        with pytest.raises(SanitizerViolation, match="live pin-mask"):
+            overlay._pin_mask[idx] = 1
+
+    def test_indexed_search_verifies_clean_and_counts(self):
+        grid = DetailedGrid(make_design())
+        grid.occupy((4, 4, 1), "n0")
+        grid.mark_pin((4, 4, 1))
+        overlay = SanitizedGridOverlay(grid)
+        stats = {}
+        path = overlay.indexed_search(
+            "n0", {(4, 4, 1)}, {(20, 4, 1)}, (0, 0, 30, 10), 10_000,
+            foreign_penalty=3.0, stats=stats,
+        )
+        assert path is not None and path[-1] == (20, 4, 1)
+        assert overlay._reads_idx  # every consult was logged
+        overlay.verify(stats)
+        assert stats["sanitize_nodes_checked"] >= len(overlay._reads_idx)
 
     def test_undeclared_buffered_write_caught_at_verify(self):
         overlay = SanitizedGridOverlay(DetailedGrid(make_design()))
@@ -169,6 +255,91 @@ class TestRouterIntegration:
             StitchAwareRouter(
                 config=RouterConfig(workers=2, sanitize=True)
             ).route(quad_design())
+
+    def test_speculative_overlays_run_the_indexed_search(self, monkeypatch):
+        # The sanitized speculative searches must be the production
+        # one.  Thread pool: the spy counts in this process.
+        seen = []
+        original = _Grid.indexed_search
+
+        def spy(self, *args, **kwargs):
+            if isinstance(self, SanitizedGridOverlay):
+                seen.append(args[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Grid, "indexed_search", spy)
+        flow = StitchAwareRouter(
+            config=RouterConfig(workers=4, executor="thread", sanitize=True)
+        ).route(mcnc_design("S9234", 0.02))
+        counters = flow.trace.aggregate_counters()
+        assert counters["sanitize_violations"] == 0
+        assert counters["sanitize_nets_checked"] > 0
+        assert len(seen) >= counters["sanitize_nets_checked"]
+
+    def test_speculative_snapshots_run_the_indexed_search(self, monkeypatch):
+        seen = []
+        original = _Graph.astar_in_window
+
+        def spy(self, *args, **kwargs):
+            if isinstance(self, SanitizedGraphSnapshot):
+                seen.append(args[:2])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Graph, "astar_in_window", spy)
+        flow = StitchAwareRouter(
+            config=RouterConfig(workers=4, executor="thread", sanitize=True)
+        ).route(wide_quad_design())
+        assert flow.trace.aggregate_counters()["sanitize_violations"] == 0
+        assert len(seen) >= 4
+        assert flow.report.routed_nets == 4
+
+    def test_injected_owner_id_read_in_indexed_search_is_detected(
+        self, monkeypatch
+    ):
+        original = _Grid.indexed_search
+
+        def sneaky(self, *args, **kwargs):
+            if isinstance(self, SanitizedGridOverlay):
+                # Consult the base ownership-id array for a node the
+                # search never logged in ``_reads_idx``.
+                idx = next(
+                    i for i in range(len(self._owner_ids))
+                    if i not in self._reads_idx
+                )
+                self._owner_ids[idx]
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Grid, "indexed_search", sneaky)
+        with pytest.raises(SanitizerViolation, match="bypassed the overlay"):
+            StitchAwareRouter(
+                config=RouterConfig(workers=4, sanitize=True)
+            ).route(mcnc_design("S9234", 0.02))
+
+    def test_injected_cost_cache_read_outside_window_is_detected(
+        self, monkeypatch
+    ):
+        original = _Graph.astar_in_window
+
+        def sneaky(self, src, dst, window, *args, **kwargs):
+            if isinstance(self, SanitizedGraphSnapshot):
+                # Price a line end on a tile outside the declared window.
+                lo_x, lo_y, hi_x, hi_y = window
+                outside = [
+                    (i, j)
+                    for i in range(self.nx)
+                    for j in range(self.ny)
+                    if not (lo_x <= i <= hi_x and lo_y <= j <= hi_y)
+                ]
+                if outside:
+                    i, j = outside[0]
+                    self._v_price[i][j]
+            return original(self, src, dst, window, *args, **kwargs)
+
+        monkeypatch.setattr(_Graph, "astar_in_window", sneaky)
+        with pytest.raises(SanitizerViolation, match="undeclared demand"):
+            StitchAwareRouter(
+                config=RouterConfig(workers=4, sanitize=True)
+            ).route(wide_quad_design())
 
     def test_sanitize_off_does_not_wrap(self, monkeypatch):
         from repro.detailed.router import DetailedRouter

@@ -1,4 +1,4 @@
-"""The redesigned router constructors and their deprecated aliases."""
+"""The redesigned router constructors and their removed flag aliases."""
 
 import warnings
 
@@ -47,42 +47,33 @@ class TestConfigConstructor:
 
 
 class TestDeprecatedFlagAliases:
-    def test_legacy_keywords_warn_and_apply(self):
-        with pytest.warns(DeprecationWarning, match="RouterConfig"):
-            router = StitchAwareRouter(
+    """The pre-``RouterConfig`` flag aliases served their deprecation
+    release and were removed: every legacy form now fails loudly."""
+
+    def test_legacy_keywords_rejected(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            StitchAwareRouter(
                 track_method=TrackMethod.BASELINE,
                 coloring=ColoringMethod.MST,
             )
-        assert router.track_method is TrackMethod.BASELINE
-        assert router.coloring is ColoringMethod.MST
-        # Untouched flags keep their defaults.
-        assert router.stitch_aware_global is True
 
-    def test_legacy_positional_warn_and_apply(self):
-        with pytest.warns(DeprecationWarning):
-            router = StitchAwareRouter(
+    def test_legacy_positional_rejected(self):
+        with pytest.raises(TypeError, match="positional"):
+            StitchAwareRouter(
                 TrackMethod.ILP, ColoringMethod.MST, False, False
             )
-        assert router.track_method is TrackMethod.ILP
-        assert router.coloring is ColoringMethod.MST
-        assert router.stitch_aware_global is False
-        assert router.stitch_aware_detail is False
 
-    def test_legacy_flags_layer_onto_config(self):
+    def test_legacy_flags_with_config_rejected(self):
         config = RouterConfig(stitch_spacing=21, tile_size=21)
-        with pytest.warns(DeprecationWarning):
-            router = StitchAwareRouter(
-                config=config, stitch_aware_detail=False
-            )
-        assert router.config.stitch_spacing == 21
-        assert router.stitch_aware_detail is False
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            StitchAwareRouter(config=config, stitch_aware_detail=False)
 
     def test_unknown_keyword_rejected(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             StitchAwareRouter(not_a_flag=True)
 
     def test_duplicate_flag_rejected(self):
-        with pytest.raises(TypeError, match="multiple values"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             StitchAwareRouter(TrackMethod.ILP, track_method=TrackMethod.GRAPH)
 
     def test_too_many_positionals_rejected(self):

@@ -1,7 +1,7 @@
 """The vectorized congestion kernel against the scalar reference.
 
 :func:`repro.globalroute.cost.congestion_cost_array` powers bulk
-analysis; the array engine's cost caches deliberately call the scalar
+analysis; the global graph's cost caches deliberately call the scalar
 kernel instead (``numpy.exp2`` vs CPython ``2.0 ** x`` may differ in
 the last ulp).  These properties pin down both facts: the piecewise
 branches agree exactly, and the smooth branch agrees to float64

@@ -1,22 +1,29 @@
-"""Differential harness: the array engine must equal the object engine.
+"""Flow-level differential: the indexed search must equal the reference.
 
-The byte-identity contract of ``RouterConfig(engine=...)`` (see
-``docs/performance.md``): for every circuit, worker count and
-sanitizer setting, the array core produces a serialized
-:class:`~repro.eval.RoutingReport` byte-identical to the object
-engine's (after stripping wall-time fields) and every deterministic
-trace counter matches exactly.  The array solutions must additionally
-survive the independent geometry audit — identical counters from two
-engines sharing a bug would otherwise go unnoticed.
+The router runs one detailed search, :meth:`DetailedGrid.indexed_search`
+(reached through :func:`~repro.detailed.search.astar_connect`).  The
+plain :func:`~repro.detailed.search.reference_astar` over tuple nodes
+is kept as its specification.  Swapping the reference into the router
+(the ``object`` side of the ``detailed-astar`` parity pair) must leave
+every serialized :class:`~repro.eval.RoutingReport` byte-identical
+(after stripping wall-time fields) and every deterministic trace
+counter unchanged — across circuits, worker counts, the sanitizer and
+the profiling modes, i.e. over every rip-up, foreign-penalty and
+blocked-set search the real flow issues.  The small-grid property test
+is ``tests/detailed/test_indexed_search.py``; this file holds the two
+searches to each other on whole routing runs, and the production
+solutions to the independent geometry audit.
 """
 
 import json
 
 import pytest
 
+import repro.detailed.router as detailed_router
 from repro.analysis import audit_solution
 from repro.api import RouterConfig, StitchAwareRouter
 from repro.benchmarks_gen import mcnc_design
+from repro.detailed.search import reference_astar
 from repro.io import report_to_dict
 
 CIRCUITS = {"S9234": 0.02, "S5378": 0.02, "S13207": 0.02}
@@ -28,17 +35,26 @@ def route_flow(circuit, scale, **config_kwargs):
     return router.route(design)
 
 
+def route_reference(circuit, scale, **config_kwargs):
+    """The same flow with the router's detailed search swapped for the
+    plain reference loop (production never calls it)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detailed_router, "astar_connect", reference_astar)
+        return route_flow(circuit, scale, **config_kwargs)
+
+
 def canonical_report(flow):
     doc = report_to_dict(flow.report)
-    # Wall times are the only sanctioned cross-engine difference.
+    # Wall times are the only sanctioned difference between runs.
     doc.pop("cpu_seconds", None)
     doc.pop("trace", None)
     return json.dumps(doc, sort_keys=True).encode()
 
 
-def assert_counters_match(object_trace, array_trace):
+def assert_counters_match(reference_trace, indexed_trace):
     assert (
-        object_trace.aggregate_counters() == array_trace.aggregate_counters()
+        reference_trace.aggregate_counters()
+        == indexed_trace.aggregate_counters()
     )
 
 
@@ -46,29 +62,28 @@ def assert_counters_match(object_trace, array_trace):
 class TestEngineEquivalence:
     def test_serial_reports_byte_identical(self, circuit):
         scale = CIRCUITS[circuit]
-        obj = route_flow(circuit, scale, engine="object")
-        arr = route_flow(circuit, scale, engine="array")
-        assert canonical_report(obj) == canonical_report(arr)
-        assert_counters_match(obj.trace, arr.trace)
-        assert obj.trace.meta["engine"] == "object"
-        assert arr.trace.meta["engine"] == "array"
+        ref = route_reference(circuit, scale)
+        arr = route_flow(circuit, scale)
+        assert canonical_report(ref) == canonical_report(arr)
+        assert_counters_match(ref.trace, arr.trace)
+        assert "engine" not in arr.trace.meta
 
     def test_parallel_array_equals_serial_object(self, circuit):
-        """workers=4 on the array core still equals the serial object run."""
+        """workers=4 on the indexed search equals the serial reference."""
         scale = CIRCUITS[circuit]
-        obj = route_flow(circuit, scale, engine="object")
-        arr = route_flow(circuit, scale, engine="array", workers=4)
-        assert canonical_report(obj) == canonical_report(arr)
+        ref = route_reference(circuit, scale)
+        arr = route_flow(circuit, scale, workers=4)
+        assert canonical_report(ref) == canonical_report(arr)
         routing = {
             k: v
             for k, v in arr.trace.aggregate_counters().items()
             if not k.startswith("parallel_")
         }
-        assert routing == obj.trace.aggregate_counters()
+        assert routing == ref.trace.aggregate_counters()
 
     def test_array_solution_survives_independent_audit(self, circuit):
         scale = CIRCUITS[circuit]
-        arr = route_flow(circuit, scale, engine="array")
+        arr = route_flow(circuit, scale)
         report = audit_solution(
             arr.detailed_result, arr.report, arr.global_result
         )
@@ -76,58 +91,52 @@ class TestEngineEquivalence:
 
 
 def test_sanitized_parallel_run_matches_across_engines():
-    """sanitize=True falls back to object search paths yet stays identical.
+    """sanitize=True runs the indexed search under audit, identically.
 
-    The sanitized overlays deliberately lack the indexed fast-path
-    hooks, so this exercises the mixed regime: array base state, object
-    search under the sanitizer — reports must still match byte for
-    byte.
+    The sanitized overlays wrap the flat ownership/pin arrays and the
+    cost caches in auditing proxies but run the same indexed loops,
+    so the report must equal the serial reference run byte for byte.
     """
-    obj = route_flow("S5378", 0.02, engine="object")
-    arr = route_flow(
-        "S5378", 0.02, engine="array", workers=4, sanitize=True
-    )
-    assert canonical_report(obj) == canonical_report(arr)
+    ref = route_reference("S5378", 0.02)
+    arr = route_flow("S5378", 0.02, workers=4, sanitize=True)
+    assert canonical_report(ref) == canonical_report(arr)
 
 
 def test_auto_engine_resolves_to_array_when_numpy_present():
-    pytest.importorskip("numpy")
-    flow = route_flow("S9234", 0.02, engine="auto")
-    assert flow.trace.meta["engine"] == "array"
+    from repro.config import Engine, resolve_engine
+
+    with pytest.warns(DeprecationWarning):
+        assert resolve_engine("auto") is Engine.ARRAY
+    with pytest.warns(DeprecationWarning):
+        config = RouterConfig(engine="auto")
+    flow = StitchAwareRouter(config=config).route(mcnc_design("S9234", 0.02))
+    assert canonical_report(flow) == canonical_report(
+        route_flow("S9234", 0.02)
+    )
 
 
 class TestProfiledEquivalence:
     """The contract survives profiling: perf_* counters are additive.
 
-    ``RouterConfig(profile="counters")`` instruments both engines; the
+    ``RouterConfig(profile="counters")`` instruments both searches; the
     differential promise extends to it in two parts — the routing
     counters still match exactly (strip ``perf_*``, mirroring the
-    ``parallel_*`` stripping above), and the ``perf_*`` counters the
-    engines share (heap traffic is step-identical by construction)
-    must agree with each other too.
+    ``parallel_*`` stripping above), and the heap-traffic counters
+    (step-identical by construction) must agree with each other too.
     """
 
     def test_profiled_reports_byte_identical(self):
-        obj = route_flow("S9234", 0.02, engine="object", profile="counters")
-        arr = route_flow("S9234", 0.02, engine="array", profile="counters")
-        assert canonical_report(obj) == canonical_report(arr)
-        assert obj.trace.meta["profile"] == "counters"
-        for name in (
-            "perf_maze_heap_pushes",
-            "perf_maze_heap_pops",
-            "perf_heap_pushes",
-            "perf_heap_pops",
-        ):
-            assert (
-                obj.trace.aggregate_counters()[name]
-                == arr.trace.aggregate_counters()[name]
-            ), name
+        ref = route_reference("S9234", 0.02, profile="counters")
+        arr = route_flow("S9234", 0.02, profile="counters")
+        assert canonical_report(ref) == canonical_report(arr)
+        assert arr.trace.meta["profile"] == "counters"
+        assert_counters_match(ref.trace, arr.trace)
+        for name in ("perf_heap_pushes", "perf_heap_pops"):
+            assert arr.trace.aggregate_counters()[name] > 0, name
 
     def test_profiled_routing_counters_match_unprofiled(self):
-        plain = route_flow("S5378", 0.02, engine="array")
-        profiled = route_flow(
-            "S5378", 0.02, engine="array", profile="counters"
-        )
+        plain = route_flow("S5378", 0.02)
+        profiled = route_flow("S5378", 0.02, profile="counters")
         routing = {
             k: v
             for k, v in profiled.trace.aggregate_counters().items()
@@ -136,8 +145,6 @@ class TestProfiledEquivalence:
         assert routing == plain.trace.aggregate_counters()
 
     def test_full_profile_keeps_byte_identity(self):
-        obj = route_flow("S5378", 0.02, engine="object", profile="full")
-        arr = route_flow(
-            "S5378", 0.02, engine="array", workers=4, profile="full"
-        )
-        assert canonical_report(obj) == canonical_report(arr)
+        ref = route_reference("S5378", 0.02, profile="full")
+        arr = route_flow("S5378", 0.02, workers=4, profile="full")
+        assert canonical_report(ref) == canonical_report(arr)

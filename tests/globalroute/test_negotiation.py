@@ -48,8 +48,9 @@ class TestNegotiation:
         design = design_with_nets([two_pin("a", (1, 1), (55, 1))])
         router = GlobalRouter(stitch_aware=True)
         graph = GlobalGraph(design)
-        # Saturate the boundary between columns 1 and 2 at row 0.
-        graph.h_demand[1, 0] = graph.h_capacity[1, 0] * 3
+        # Saturate the boundary between columns 1 and 2 at row 0
+        # (through the mutator, which keeps the cost caches fresh).
+        graph.add_edge_demand(("h", 1, 0), int(graph.h_capacity[1, 0]) * 3)
         path = router._astar(graph, (0, 0), (3, 0))
         assert path is not None
         assert not any(

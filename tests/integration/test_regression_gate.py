@@ -29,17 +29,19 @@ def regression():
 
 
 def test_gate_passes_against_committed_baselines(regression, capsys, tmp_path):
-    code = regression.main(
-        ["--only", "S9234", "--no-wall", "--out-dir", str(tmp_path)]
-    )
+    # The full gate: every committed circuit, both routers.
+    code = regression.main(["--no-wall", "--out-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0, out
     assert "regression gate passed" in out
-    # The CI artifact copy is a loadable BENCH document.
-    produced = tmp_path / "BENCH_S9234.json"
-    assert produced.exists()
-    traces = regression.load_traces(produced)
-    assert set(traces) == {"baseline", "stitch-aware"}
+    for circuit in ("S9234", "S5378", "S13207"):
+        for label in ("baseline", "stitch-aware"):
+            assert f"{circuit}/{label}: OK" in out
+        # The CI artifact copy is a loadable BENCH document.
+        produced = tmp_path / f"BENCH_{circuit}.json"
+        assert produced.exists()
+        traces = regression.load_traces(produced)
+        assert set(traces) == {"baseline", "stitch-aware"}
 
 
 def test_gate_fails_on_injected_counter_regression(
@@ -87,11 +89,12 @@ def test_gate_rejects_unknown_circuit(regression):
 
 
 def test_gate_audits_fresh_solutions(regression, capsys, tmp_path):
-    code = regression.main(["--only", "S9234", "--no-wall"])
+    code = regression.main(["--no-wall"])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "S9234/baseline: audit clean" in out
-    assert "S9234/stitch-aware: audit clean" in out
+    for circuit in regression.CIRCUITS:
+        assert f"{circuit}/baseline: audit clean" in out
+        assert f"{circuit}/stitch-aware: audit clean" in out
 
 
 def test_no_audit_skips_the_auditor(regression, capsys, monkeypatch):

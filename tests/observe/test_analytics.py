@@ -308,14 +308,16 @@ def write_artifacts(root, make_trace_fn=None):
         "stitch-aware": make(maze=100).to_dict(),
     }
     (root / "BENCH_S9234.json").write_text(json.dumps(bench))
-    (root / "SPEEDUP_ENGINE_S9234.json").write_text(
+    (root / "SPEEDUP_PROC_S9234.json").write_text(
         json.dumps(
             {
                 "circuit": "S9234",
                 "scale": 0.2,
                 "scale_multiplier": 10.0,
-                "object_wall_seconds": 2.0,
-                "array_wall_seconds": 1.0,
+                "serial_wall_seconds": 2.0,
+                "parallel_wall_seconds": 1.0,
+                "workers": 2,
+                "executor": "process",
                 "repeats": 3,
                 "speedup": 2.0,
             }
@@ -328,7 +330,6 @@ def write_artifacts(root, make_trace_fn=None):
                     "serial_wall_seconds": 1.0,
                     "parallel_wall_seconds": 0.5,
                     "workers": 4,
-                    "engine": "object",
                     "speedup": 2.0,
                 }
             }
@@ -349,21 +350,20 @@ class TestPerfHistory:
         )
         assert aware["maze_expansions"] == 100
         assert aware["detail_s"] == 1.0
-        (engine_row,) = history.engine_rows
-        assert engine_row["speedup"] == 2.0
-        (workers_row,) = history.workers_rows
-        assert workers_row["workers"] == 4
+        proc_row, thread_row = history.workers_rows
+        assert (proc_row["executor"], proc_row["workers"]) == ("process", 2)
+        assert proc_row["speedup"] == 2.0
+        assert (thread_row["executor"], thread_row["workers"]) == ("thread", 4)
 
     def test_unparseable_and_unrelated_json_skipped(self, tmp_path):
         write_artifacts(tmp_path)
         (tmp_path / "BENCH_garbage.json").write_text('{"x": 1}')
-        (tmp_path / "SPEEDUP_ENGINE_bad.json").write_text("[]")
+        (tmp_path / "SPEEDUP_PROC_bad.json").write_text("[]")
         (tmp_path / "SPEEDUP_bad.json").write_text('{"label": {}}')
         (tmp_path / "unrelated.json").write_text("{}")
         history = collect_perf_history(tmp_path)
         assert {r["circuit"] for r in history.bench_rows} == {"S9234"}
-        assert len(history.engine_rows) == 1
-        assert len(history.workers_rows) == 1
+        assert len(history.workers_rows) == 2
 
     def test_empty_directory_reports_empty(self, tmp_path):
         history = collect_perf_history(tmp_path)
@@ -375,8 +375,8 @@ class TestPerfHistory:
         history = collect_perf_history(tmp_path)
         plain = render_perf_history(history)
         assert "benchmark snapshots" in plain
-        assert "engine speedups" in plain
         assert "workers speedups" in plain
+        assert "process" in plain
         md = render_perf_history(history, fmt="markdown")
         assert md.count("|") > 20
 
@@ -386,4 +386,5 @@ class TestPerfHistory:
         history = collect_perf_history(root)
         circuits = {r["circuit"] for r in history.bench_rows}
         assert {"S9234", "S5378", "S13207"} <= circuits
-        assert history.engine_rows  # committed SPEEDUP_ENGINE_*.json
+        # The committed process-pool speedup artifact.
+        assert collect_perf_history(root / "benchmarks").workers_rows

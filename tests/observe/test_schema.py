@@ -9,7 +9,7 @@ Two halves:
   under five configurations (serial, thread pool, process pool,
   sanitizer, counter profiling) and **every** counter, gauge, span,
   and progress kind the run emits must be registered with backend
-  coverage that includes the run's own engine/executor tags.  A new
+  coverage that includes the run's own executor tag.  A new
   metric emitted anywhere in the engine fails here until it is
   declared in :mod:`repro.observe.schema`.
 """
@@ -20,7 +20,7 @@ import json
 import pytest
 
 from repro.benchmarks_gen import mcnc_design
-from repro.config import RouterConfig, resolve_engine, resolve_executor
+from repro.config import RouterConfig, resolve_executor
 from repro.api import StitchAwareRouter
 from repro.observe import StreamingTracer, schema
 
@@ -124,11 +124,10 @@ def run(name):
 
 
 def backend_tags(config):
-    """The engine/executor tags this configuration runs under."""
-    engine = resolve_engine(config.engine).value
+    """The executor tag this configuration runs under."""
     if config.workers == 1:
-        return {engine, "serial"}
-    return {engine, resolve_executor(config.executor).value}
+        return {"serial"}
+    return {resolve_executor(config.executor).value}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

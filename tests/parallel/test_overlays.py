@@ -32,35 +32,49 @@ def make_design(width=60, height=45, layers=3):
     )
 
 
+def owned_grid(node, owner):
+    """A toy grid whose ``node`` belongs to ``owner``."""
+    grid = DetailedGrid(make_design())
+    grid.occupy(node, owner)
+    return grid
+
+
 class TestOwnerOverlay:
+    N, M, K = (5, 5, 1), (6, 5, 1), (7, 5, 1)
+
     def test_reads_fall_through_and_are_logged(self):
-        base = {("n",): "owner"}
+        base = owned_grid(self.N, "n0")
         ov = _OwnerOverlay(base)
-        assert ov.get(("n",)) == "owner"
-        assert ov.get(("m",)) is None
-        assert ov.get(("k",), "dflt") == "dflt"
-        assert ov.reads == {("n",), ("m",), ("k",)}
+        assert ov.get(self.N) == "n0"
+        assert ov.get(self.M) is None
+        assert ov.get(self.K, "dflt") == "dflt"
+        assert ov.reads == {self.N, self.M, self.K}
         assert ov.writes == set()
 
     def test_writes_shadow_base(self):
-        base = {("n",): "owner"}
+        base = owned_grid(self.N, "n0")
         ov = _OwnerOverlay(base)
-        ov[("n",)] = "thief"
-        ov[("m",)] = "thief"
-        assert ov.get(("n",)) == "thief"
-        assert ov.get(("m",)) == "thief"
-        assert base[("n",)] == "owner"  # base untouched
-        assert ("m",) not in base
-        assert ov.writes == {("n",), ("m",)}
+        ov[self.N] = "n1"
+        ov[self.M] = "n1"
+        assert ov.get(self.N) == "n1"
+        assert ov.get(self.M) == "n1"
+        assert base.owner(self.N) == "n0"  # base untouched
+        assert base.owner(self.M) is None
+        assert ov.writes == {self.N, self.M}
+        # The indexed mirror carries the same buffered writes.
+        n1 = base._net_id("n1")
+        assert ov.local_ids == {base._encode(self.N): n1, base._encode(self.M): n1}
+        assert base._owner_ids[base._encode(self.N)] == base._net_id("n0")
 
     def test_tombstone_hides_base_entry(self):
-        base = {("n",): "owner"}
+        base = owned_grid(self.N, "n0")
         ov = _OwnerOverlay(base)
-        del ov[("n",)]
-        assert ov.get(("n",)) is None
-        assert ov.get(("n",), "dflt") == "dflt"
-        assert base[("n",)] == "owner"
-        assert ("n",) in ov.writes
+        del ov[self.N]
+        assert ov.get(self.N) is None
+        assert ov.get(self.N, "dflt") == "dflt"
+        assert base.owner(self.N) == "n0"
+        assert self.N in ov.writes
+        assert ov.local_ids == {base._encode(self.N): _OwnerOverlay.RELEASED}
 
 
 class TestGridOverlay:
@@ -133,7 +147,7 @@ class TestGridOverlay:
 
     def test_evict_then_release_frees_foreign_node_via_delta(self):
         # The process backend's wire form must replay identically.
-        from repro.engine import OverlayDelta
+        from repro.detailed.deltas import OverlayDelta
 
         grid = DetailedGrid(make_design())
         node = (7, 7, 1)

@@ -3,7 +3,7 @@
 The determinism contract of ``RouterConfig(executor="process")`` (see
 ``docs/parallelism.md``): routing state crosses the process boundary
 through :class:`~repro.parallel.SharedStateChannel`, workers return
-:class:`~repro.engine.OverlayDelta` payloads instead of live overlays,
+:class:`~repro.detailed.deltas.OverlayDelta` payloads instead of live overlays,
 and the canonical-order fan-in on the submitting process makes the
 serialized :class:`~repro.eval.RoutingReport` byte-identical to the
 serial run on every gate circuit — with sanitize on, with streaming

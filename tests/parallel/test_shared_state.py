@@ -2,7 +2,7 @@
 
 Two contracts carry the process backend's byte-identity guarantee:
 
-* :class:`~repro.engine.OverlayDelta` must survive its canonical
+* :class:`~repro.detailed.deltas.OverlayDelta` must survive its canonical
   payload form losslessly — operation *order* included, because the
   merge loop replays ops in overlay insertion order;
 * :class:`~repro.parallel.SharedStateChannel` must deliver every
@@ -26,7 +26,7 @@ relaxed = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
-from repro.engine import OverlayDelta
+from repro.detailed.deltas import OverlayDelta
 from repro.parallel import (
     SharedArraySpec,
     SharedStateChannel,

@@ -71,7 +71,7 @@ class TestBenchmarkScale:
 
     def test_oversize_scale_for_speedup_runs(self, monkeypatch):
         # Factors above 1 (up to 100) grow instances beyond the
-        # paper's statistics for engine-speedup measurements.
+        # paper's statistics for speedup measurements.
         monkeypatch.delenv("REPRO_FULL", raising=False)
         monkeypatch.setenv("REPRO_SCALE", "10")
         assert benchmark_scale() == 10.0
@@ -137,13 +137,18 @@ class TestProfileField:
 
 
 class TestEngineField:
+    """Deprecated field: selects nothing, warns, rejects ``object``."""
+
     def test_default_is_auto(self):
         assert DEFAULT_CONFIG.engine is Engine.AUTO
 
     def test_accepts_enum_and_string(self):
-        assert RouterConfig(engine=Engine.ARRAY).engine is Engine.ARRAY
-        assert RouterConfig(engine="object").engine is Engine.OBJECT
-        assert RouterConfig(engine="auto").engine is Engine.AUTO
+        with pytest.warns(DeprecationWarning):
+            assert RouterConfig(engine=Engine.ARRAY).engine is Engine.ARRAY
+        with pytest.warns(DeprecationWarning):
+            assert RouterConfig(engine="auto").engine is Engine.AUTO
+        with pytest.raises(ValueError, match="object engine was removed"):
+            RouterConfig(engine="object")
 
     def test_rejects_unknown_engines(self):
         with pytest.raises(ValueError):
@@ -152,10 +157,13 @@ class TestEngineField:
             RouterConfig(engine=3)
 
     def test_resolve_never_returns_auto(self):
-        assert resolve_engine(Engine.OBJECT) is Engine.OBJECT
-        assert resolve_engine("array") is Engine.ARRAY
-        assert resolve_engine(Engine.AUTO) in (Engine.OBJECT, Engine.ARRAY)
+        with pytest.warns(DeprecationWarning):
+            assert resolve_engine("array") is Engine.ARRAY
+        with pytest.warns(DeprecationWarning):
+            assert resolve_engine(Engine.AUTO) is Engine.ARRAY
+        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
+            resolve_engine(Engine.OBJECT)
 
     def test_auto_prefers_array_with_numpy(self):
-        pytest.importorskip("numpy")
-        assert resolve_engine(Engine.AUTO) is Engine.ARRAY
+        with pytest.warns(DeprecationWarning):
+            assert resolve_engine(Engine.AUTO) is Engine.ARRAY
