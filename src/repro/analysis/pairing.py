@@ -1,8 +1,8 @@
 """Backend-pair markers for the cross-backend parity analyzer.
 
-Every performance arc in this codebase — the indexed detailed A*,
-the thread pool, the shared-memory process pool — is only safe because each fast path is *provably
-equivalent* to the reference implementation it shadows.  The dynamic
+Every performance arc in this codebase — the thread pool, the
+shared-memory process pool — is only safe because each fast path is
+*provably equivalent* to the reference implementation it shadows.  The dynamic
 half of that proof is the differential suites; the static half is
 :mod:`~repro.analysis.parity`, which needs to know which callables
 claim to be two implementations of the same contract.
@@ -11,13 +11,13 @@ claim to be two implementations of the same contract.
 
 .. code-block:: python
 
-    @paired("detailed-astar", backend="object")
-    def reference_astar(...): ...
+    @paired("batch-executor", backend="thread")
+    def run(self, fn, items): ...          # BatchExecutor
 
-    @paired("detailed-astar", backend="array")
-    def indexed_search(...): ...
+    @paired("batch-executor", backend="process")
+    def run(self, payloads): ...           # ProcessBatchExecutor
 
-puts both callables into the ``"detailed-astar"`` pair; ``repro
+puts both callables into the ``"batch-executor"`` pair; ``repro
 parity`` then extracts each member's effect signature (counters
 bumped, spans/gauges emitted, config fields read, exceptions raised)
 and flags any divergence under the PAR rules.  The decorator is inert
@@ -54,7 +54,7 @@ def paired(pair: str, *, backend: str) -> Callable[[_F], _F]:
 
     Args:
         pair: the pair's name, shared by every member (e.g.
-            ``"detailed-astar"``).  Kebab-case by convention.
+            ``"batch-executor"``).  Kebab-case by convention.
         backend: which backend this member implements — one of
             :data:`BACKEND_KINDS`, unique within the pair.
 

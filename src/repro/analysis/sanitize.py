@@ -14,10 +14,10 @@ of :class:`~repro.globalroute.overlay.GraphSnapshot` and
 :class:`~repro.detailed.overlay.GridOverlay` that audit every actual
 shared-state access during speculative execution and **fail loudly**
 (:class:`SanitizerViolation`) on any access outside the declared
-footprint.  They run the same indexed searches as unsanitized
-speculation: the snapshot's cost-cache rows and the overlay's flat
-ownership-id and pin arrays are wrapped in auditing proxies, so the
-code the sanitizer checks is the code production runs.  Enabled with
+footprint.  They run the same searches as unsanitized speculation:
+the snapshot's cost-cache rows are wrapped in auditing proxies, and
+the overlay's compiled detailed searches are replayed by the reference
+search as a shadow oracle.  Enabled with
 ``RouterConfig(sanitize=True)`` or the CLI ``--sanitize`` flag; clean
 runs surface ``sanitize_*`` trace counters so the observability layer
 reports the coverage.
@@ -30,8 +30,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..detailed import kernel
 from ..detailed.grid import DetailedGrid, Node
 from ..detailed.overlay import GridOverlay, _OwnerOverlay
+from ..detailed.search import reference_heap_loop
 from ..globalroute.graph import GlobalGraph
 from ..globalroute.overlay import GraphSnapshot, Rect
 
@@ -344,11 +346,12 @@ class _FrozenPins:
 class _GuardedNodeArray:
     """A base grid's flat per-node array, read-audited by node id.
 
-    The indexed search logs a node id in the overlay's ``_reads_idx``
-    *before* it consults the base ownership-id array or the pin mask,
-    so any read of an id missing from that log is a code path
-    bypassing the footprint.  All mutation is rejected: the live grid
-    is frozen while a batch is in flight.
+    Python code reading the ownership-id array or the pin mask of a
+    sanitized overlay must have logged the id in ``_reads_idx`` first;
+    any other read is a code path bypassing the footprint.  (The
+    compiled search reads the real buffers; the shadow oracle audits
+    it.)  All mutation is rejected: the live grid is frozen while a
+    batch is in flight.
     """
 
     __slots__ = ("_array", "_declared", "_what", "_decode", "reads_checked")
@@ -401,11 +404,13 @@ class _SanitizedOwnerOverlay(_OwnerOverlay):
 class SanitizedGridOverlay(GridOverlay):
     """A :class:`GridOverlay` that audits shared-state access.
 
-    Base-ownership reads must be preceded by footprint recording (the
-    overlay records first, so bypass reads fail) on both surfaces: the
-    dict the reference path reads through ``_owner``, and the flat
-    ownership-id array and pin mask the indexed search reads, which
-    are checked against the ``_reads_idx`` log.  The live ownership
+    Base-ownership reads must be preceded by footprint recording on
+    both Python surfaces (the ``_owner`` dict, and the flat id array
+    and pin mask against ``_reads_idx``).  Searches run the compiled
+    kernel on the real buffers, like production; the shadow oracle
+    then replays each one with the reference heap loop on the same
+    pre-search state, and any path, counter or read-footprint
+    difference raises :class:`SanitizerViolation`.  The live ownership
     dict, the id array, the pin mask and the shared pin set reject
     writes, and :meth:`verify` re-checks the buffered delta against
     the declared write set.
@@ -426,6 +431,47 @@ class SanitizedGridOverlay(GridOverlay):
         )
         self._owner_ids = self._id_guard  # type: ignore[assignment]
         self._pin_mask = self._pin_guard  # type: ignore[assignment]
+        self._base_grid = base
+        self._oracle_reads_checked = 0  # kernel reads the oracle confirmed
+
+    def _kernel_search(
+        self, lib: kernel.Kernel, net: str, sources: set[Node],
+        targets: set[Node], window: tuple[int, int, int, int],
+        expansion_limit: int, blocked: Optional[set[Node]],
+        foreign_penalty: Optional[float],
+    ) -> kernel.SearchResult:
+        args = (net, sources, targets, window, expansion_limit, blocked,
+                foreign_penalty)
+        result = super()._kernel_search(lib, *args)
+        # A kernel search has no side effect until it is committed, so
+        # a twin overlay replaying it sees exactly the kernel's state.
+        owner = self._owner
+        shadow = GridOverlay(self._base_grid)
+        twin = shadow._owner = _SanitizedOwnerOverlay(self._base_grid)
+        twin.local, twin.local_ids = owner.local, owner.local_ids
+        twin._extra_ids = owner._extra_ids
+        stats: dict[str, float] = {}
+        path = reference_heap_loop(shadow, *args, stats, True)
+        decode = self._decode
+        kernel_path = None if result.path is None else [decode(i) for i in result.path]
+        compared = {
+            "path": (kernel_path, path),
+            "astar_expansions": (result.expansions, stats["astar_expansions"]),
+            "cost_evaluations": (result.evaluations, shadow.cost_evaluations),
+            "perf_heap_pops": (result.pops, stats["perf_heap_pops"]),
+            "perf_heap_pushes": (result.pops + result.heap_left,
+                                 stats["perf_heap_pushes"]),
+            "read footprint": ({decode(i) for i in result.reads}, twin.reads),
+        }
+        for what, (got, want) in compared.items():
+            if got != want:
+                raise SanitizerViolation(
+                    f"detailed search kernel diverged from the reference "
+                    f"search for net {net!r} on its {what}: kernel "
+                    f"{got!r:.160} != reference {want!r:.160}"
+                )
+        self._oracle_reads_checked += len(result.reads)
+        return result
 
     def verify(self, stats: Optional[dict[str, float]] = None) -> None:
         """Check the buffered delta matches the declared footprint.
@@ -453,6 +499,7 @@ class SanitizedGridOverlay(GridOverlay):
                 + self._pins.reads_checked
                 + self._id_guard.reads_checked
                 + self._pin_guard.reads_checked
+                + self._oracle_reads_checked
                 + len(owner.writes)
             )
             stats["sanitize_nodes_checked"] = (

@@ -40,7 +40,7 @@ from ..config import (
     TrackMethod,
     resolve_executor,
 )
-from ..detailed import DetailedResult, DetailedRouter
+from ..detailed import DetailedResult, DetailedRouter, kernel
 from ..eval import RoutingReport, evaluate
 from ..globalroute import GlobalGraph, GlobalRouter, GlobalRoutingResult
 from ..layout import Design
@@ -200,6 +200,8 @@ class StitchAwareRouter:
             "stitch_aware_detail": config.stitch_aware_detail,
             "workers": config.workers,
             "sanitize": config.sanitize,
+            # Which detailed A* ran: compiled kernel or Python fallback.
+            "detailed_search": "python" if kernel.load() is None else "c",
         }
         if config.workers > 1:
             # Pool-kind stamp for parallel runs only: serial traces

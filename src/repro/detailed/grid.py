@@ -25,48 +25,38 @@ ordering node tuples — the ``(f, g, node)`` heap tie-break of the
 reference search (:func:`~repro.detailed.search.reference_astar`) is
 preserved bit for bit.  The base step-cost array (Eq. (10) ``alpha``
 plus the ``gamma`` escape term, with a negative sentinel for
-structurally blocked nodes), the per-x via surcharge, the ownership-id
-array and the pin mask are built once per stage — numpy assembles
-them, plain lists serve them, because the search reads single entries
-where list indexing beats ndarray scalar access — and overlays borrow
+structurally blocked nodes), the per-x via surcharge and line flags,
+the per-layer direction flags, the ownership-id array and the pin mask
+are built once per stage into flat buffers (``array`` / ``bytearray``:
+Python indexes them like lists, the compiled search kernel of
+:mod:`repro.detailed.kernel` reads them in place), and overlays borrow
 them by reference.  The ``_owner`` dict stays authoritative; every
 ownership mutator mirrors its effect into the id array.
 """
 
 from __future__ import annotations
 
-import heapq
+import time
+from array import array
 from collections.abc import Iterable
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..analysis.pairing import paired
 from ..config import RouterConfig
 from ..geometry import GridPoint
 from ..layout import Design
+from . import kernel
 
 if TYPE_CHECKING:
     from .overlay import GridOverlay
 
 Node = tuple[int, int, int]  # (x, y, layer)
 
-_INF = float("inf")
-
 #: Step-cost sentinel for structurally blocked nodes (vertical layer on
-#: a stitching-line track).  Negative so the hot loop can test
+#: a stitching-line track).  Negative so the search can test
 #: ``step >= 0.0`` instead of comparing against infinity.
 _BLOCKED_STEP = -1.0
-
-#: Sentinel in the ownership-folded step array (:attr:`_free_step`) for
-#: nodes whose owner id is nonzero.  Distinct from ``_BLOCKED_STEP`` so
-#: the fast loop can tell "owned — maybe by me" (recheck the id array)
-#: from "structurally blocked" (reject outright) with one comparison.
-_OWNED_STEP = -2.0
-
-
-def _never_called(_: int) -> None:  # pragma: no cover - typing placeholder
-    raise AssertionError("read logger invoked on a non-overlay grid")
 
 
 class DetailedGrid:
@@ -95,17 +85,16 @@ class DetailedGrid:
         #: fixed pin nodes (inviolable even during negotiated rip-up)
         self._pins: set[Node] = set()
         # Precomputed per-x flags (columns are few; lookups are hot).
-        self._on_line = [self.stitches.is_on_line(x) for x in range(design.width)]
-        self._unfriendly = [
-            self.stitches.in_unfriendly_region(x) for x in range(design.width)
-        ]
-        self._escape = [
-            self.stitches.in_escape_region(x) for x in range(design.width)
-        ]
+        columns = range(design.width)
+        self._on_line = bytearray(self.stitches.is_on_line(x) for x in columns)
+        self._unfriendly = bytearray(
+            self.stitches.in_unfriendly_region(x) for x in columns
+        )
+        self._escape = bytearray(self.stitches.in_escape_region(x) for x in columns)
         # Per-layer caches (index 0 unused; layers are 1-based).
-        self._vertical = [False] + [
-            self.tech.is_vertical(m) for m in self.tech.layers
-        ]
+        self._vertical = bytearray(
+            [False] + [self.tech.is_vertical(m) for m in self.tech.layers]
+        )
         self._num_layers = self.tech.num_layers
         self._width = design.width
         self._height = design.height
@@ -133,26 +122,26 @@ class DetailedGrid:
             base[np.ix_(escape_cols, all_rows, vert_layers)] += config.gamma
         line_cols = np.array(self._on_line, dtype=bool)
         base[np.ix_(line_cols, all_rows, vert_layers)] = _BLOCKED_STEP
-        self._step: list[float] = base.reshape(-1).tolist()
+        self._step = array("d", base.reshape(-1).tobytes())
         #: Per-x via surcharge (Eq. (10) beta inside unfriendly regions).
-        self._via_extra = [
+        self._via_extra = array("d", [
             config.beta if (self.stitch_aware and unfriendly) else 0.0
             for unfriendly in self._unfriendly
-        ]
+        ])
         size = width * self._hl
-        self._owner_ids = [0] * size
-        #: ``_step`` with ``_OWNED_STEP`` folded in wherever the owner
-        #: id is nonzero, so the base-grid loop resolves the common
-        #: free-node candidate with a single load and compare.  The
-        #: ownership mutators keep it in sync; overlays never read it.
-        #: Every node starts free, so it begins as a copy of ``_step``.
-        self._free_step = list(self._step)
+        self._owner_ids = array("i", bytes(4 * size))
         self._pin_mask = bytearray(size)
         #: net name -> positive integer id (0 means free).  Filled for
         #: the whole netlist up front so worker threads never mutate it.
         self._net_ids: dict[str, int] = {}
         for net in design.netlist:
             self._net_id(net.name)
+        #: The compiled kernel's view of the buffers (loads no library).
+        self._kernel_view = kernel.GridView(
+            (self._step, self._owner_ids, self._pin_mask, self._via_extra,
+             self._on_line, self._vertical),
+            width, height, layers_n,
+        )
 
     # ------------------------------------------------------------------
     # Geometry / legality
@@ -169,19 +158,19 @@ class DetailedGrid:
     def is_blocked(self, node: Node) -> bool:
         """Structurally unusable node (vertical layer on a line track)."""
         x, _y, layer = node
-        return self._vertical[layer] and self._on_line[x]
+        return bool(self._vertical[layer] and self._on_line[x])
 
     def on_stitch_line(self, x: int) -> bool:
         """Whether column ``x`` is a stitching line."""
-        return self._on_line[x]
+        return bool(self._on_line[x])
 
     def in_unfriendly(self, x: int) -> bool:
         """Whether column ``x`` is in a stitch unfriendly region."""
-        return self._unfriendly[x]
+        return bool(self._unfriendly[x])
 
     def in_escape(self, x: int) -> bool:
         """Whether column ``x`` is in an escape region."""
-        return self._escape[x]
+        return bool(self._escape[x])
 
     # ------------------------------------------------------------------
     # Node ids
@@ -263,14 +252,10 @@ class DetailedGrid:
             self._mirror_owner(node, None)
 
     def _mirror_owner(self, node: Node, net: Optional[str]) -> None:
-        """Copy one ownership write into the id and folded-step arrays."""
-        idx = self._encode(node)
-        if net is None:
-            self._owner_ids[idx] = 0
-            self._free_step[idx] = self._step[idx]
-        else:
-            self._owner_ids[idx] = self._net_id(net)
-            self._free_step[idx] = _OWNED_STEP
+        """Copy one ownership write into the id array."""
+        self._owner_ids[self._encode(node)] = (
+            0 if net is None else self._net_id(net)
+        )
 
     # ------------------------------------------------------------------
     # Ownership journal (process-pool state sync)
@@ -361,7 +346,7 @@ class DetailedGrid:
             cost = config.alpha + self._node_cost(succ) + extra
             if self.stitch_aware and self._unfriendly[x]:
                 # via in stitch unfriendly region
-                cost += config.beta  # repro: allow-PAR003 indexed search reads the via table
+                cost += config.beta
             out.append((succ, cost))
         self.cost_evaluations += len(out)
         return out
@@ -389,7 +374,7 @@ class DetailedGrid:
             return 0.0
         x, _y, layer = node
         if self._vertical[layer] and self._escape[x]:
-            return self.config.gamma  # repro: allow-PAR003 indexed search reads the step array
+            return self.config.gamma
         return 0.0
 
     def speculative_overlay(self) -> "GridOverlay":
@@ -401,8 +386,7 @@ class DetailedGrid:
     # ------------------------------------------------------------------
     # Indexed A* (the production search)
     # ------------------------------------------------------------------
-    @paired("detailed-astar", backend="array")
-    def indexed_search(  # repro: allow-PAR006 the grid argument is the receiver on this side
+    def indexed_search(
         self,
         net: str,
         sources: set[Node],
@@ -416,700 +400,65 @@ class DetailedGrid:
     ) -> Optional[list[Node]]:
         """Eq. (10) A* over flat node ids; the heap loop of ``astar_connect``.
 
-        Same arguments and result as
-        :func:`~repro.detailed.search.reference_astar` (minus the grid,
-        which is ``self``), same counter increments; called by
-        ``astar_connect`` after its shared preamble (search counting,
-        empty-set and shared-node shortcuts), so only the heap loop
-        lives here.
-
-        Byte-identity notes: candidates are generated in the reference
-        search's order (planar minus, planar plus, via down, via up);
-        ownership is consulted — and read-logged on overlays — exactly
-        when ``_passable`` would consult it (after bounds and the
-        structural-block test, *before* the on-line via filter);
-        ``cost_evaluations`` counts passable candidates before the
-        window/blocked filters; the expansion counter increments after
-        the target test; relaxation keeps the ``1e-12`` slack.  All
-        step costs replicate the reference association order, so every
-        float compares equal bit for bit.
-
-        ``profile=True`` flushes ``perf_heap_pops`` / ``perf_heap_pushes``
-        into ``stats``.  Only pops are counted in the loop (one add per
-        expansion-candidate pop, unconditionally, so both modes run the
-        same instructions); pushes are derived exactly at flush time
-        from the heap invariant ``pushes == pops + len(heap)``, which
-        matches the reference loop's explicit push count bit for bit.
+        Same arguments, result and counters as
+        :func:`~repro.detailed.search.reference_astar` (minus the grid),
+        after its preamble.  Runs in the compiled kernel, or in the
+        bit-identical :func:`~repro.detailed.search.reference_heap_loop`
+        when none could be built.  ``profile=True`` also adds this
+        call's wall time to ``perf_search_s``.
         """
-        lo_x, lo_y, hi_x, hi_y = window
-        weight = 1.3 * self.config.alpha
+        started = time.perf_counter() if profile else 0.0
+        args = (net, sources, targets, window, expansion_limit, blocked,
+                foreign_penalty)
+        lib = kernel.load()
+        if lib is None:
+            from .search import reference_heap_loop  # local: search imports grid
 
-        encode = self._encode
-        width = self._width
-        height = self._height
-        layers_n = self._num_layers
-        hl = self._hl
-
-        # Target bbox + encoded ids.  Rip-up reconnects pass whole net
-        # components as targets, so this setup is O(|targets|) per
-        # search; one vectorized pass replaces four scans plus a
-        # per-node encode.  Integer arithmetic is exact either way —
-        # both branches produce identical values.
-        if len(targets) >= 16:
-            tarr = np.array(
-                list(targets), dtype=np.int64  # repro: allow-DET001 min/max + frozenset
-            )
-            txs, tys = tarr[:, 0], tarr[:, 1]
-            t_lo_x = int(txs.min())
-            t_hi_x = int(txs.max())
-            t_lo_y = int(tys.min())
-            t_hi_y = int(tys.max())
-            tgt = frozenset(
-                ((txs * height + tys) * layers_n + tarr[:, 2] - 1).tolist()
-            )
+            path = reference_heap_loop(self, *args, stats, profile)
         else:
-            t_lo_x = min(t[0] for t in targets)
-            t_hi_x = max(t[0] for t in targets)
-            t_lo_y = min(t[1] for t in targets)
-            t_hi_y = max(t[1] for t in targets)
-            tgt = frozenset(
-                encode(t) for t in targets
-            )
-        step = self._step
-        via_extra = self._via_extra
-        on_line = self._on_line
-        vertical = self._vertical
-        owner_ids = self._owner_ids
-        pins = self._pin_mask
-        net_id = self._net_id(net)
-        fp = foreign_penalty
-
-        local_ids = self._local_ids
-        reads_idx = self._reads_idx
-        if local_ids is not None and reads_idx is not None:
-            local_get: Optional[Callable[[int], Optional[int]]] = local_ids.get
-            reads_add: Callable[[int], None] = reads_idx.add
-        else:
-            local_get = None
-            reads_add = _never_called
-
-        blk: Optional[frozenset] = None
-        if blocked is not None:
-            blk = frozenset(encode(b) for b in blocked)
-
-        # Seeding order over the source set is immaterial: best_g is a
-        # pure mapping and heap entries are totally ordered by
-        # (f, g, id), so pop order never depends on insertion order —
-        # the same argument astar_connect documents for tuple nodes.
-        # Large source sets (rip-up reconnects seed whole components)
-        # take the vectorized branch; the clipped distances and the
-        # int64 encode produce the same values as the scalar branch,
-        # and ``weight * int`` multiplies identically in float64.
-        #
-        # Heap entries carry the node's clipped heuristic deltas as a
-        # fourth and fifth element so the pop side reuses them instead
-        # of recomputing eight comparisons per expansion.  They are a
-        # pure function of the node id (given the fixed target bbox),
-        # so two entries that tie on ``(f, g, id)`` carry equal deltas
-        # and the heap order stays exactly the 3-tuple order.
-        best_g: dict[int, float]
-        src_idx: set[int]
-        heap: list[tuple[float, float, int, int, int]]
-        if len(sources) >= 16:
-            sarr = np.array(
-                list(sources), dtype=np.int64  # repro: allow-DET001 seeds a totally ordered heap
-            )
-            sxs, sys_ = sarr[:, 0], sarr[:, 1]
-            sdx = np.maximum(np.maximum(t_lo_x - sxs, sxs - t_hi_x), 0)
-            sdy = np.maximum(np.maximum(t_lo_y - sys_, sys_ - t_hi_y), 0)
-            sis = ((sxs * height + sys_) * layers_n + sarr[:, 2] - 1).tolist()
-            best_g = dict.fromkeys(sis, 0.0)
-            src_idx = set(sis)
-            heap = [
-                (f0, 0.0, si0, dx0, dy0)
-                for f0, si0, dx0, dy0 in zip(
-                    (weight * (sdx + sdy)).tolist(),
-                    sis,
-                    sdx.tolist(),
-                    sdy.tolist(),
-                )
-            ]
-        else:
-            best_g = {}
-            src_idx = set()
-            heap = []
-            for s in sources:  # repro: allow-DET001 seeds a totally ordered heap
-                x, y, _layer = s
-                dx = (t_lo_x - x) if x < t_lo_x else (x - t_hi_x) if x > t_hi_x else 0
-                dy = (t_lo_y - y) if y < t_lo_y else (y - t_hi_y) if y > t_hi_y else 0
-                si = encode(s)
-                best_g[si] = 0.0
-                src_idx.add(si)
-                heap.append((weight * (dx + dy), 0.0, si, dx, dy))
-        heapq.heapify(heap)
-
-        parent: dict[int, int] = {}
-        best_g_get = best_g.get
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        expansions = 0
-        evals = 0
-        pops = 0
-        try:
-            if local_get is None and fp is None and blk is None:
-                # Specialized loop for the dominant case (~85% of the
-                # searches on the gate circuits): base grid, no foreign
-                # penalty, no blocked set.  Identical candidate order,
-                # counter increments, and float association order as
-                # the general loop below — only the branches that are
-                # statically dead here (overlay read logging, the
-                # penalty rewrite, the blocked filter) are removed, so
-                # every produced value is bit-identical.  The via
-                # blocks hoist the on-line filter above the ownership
-                # read, and candidates consult the ownership-folded
-                # step array first: on the base grid ownership reads
-                # have no logging side effect, so both reorders are
-                # unobservable and the owner id array is only touched
-                # for owned nodes (to recheck against ``net_id``).
-                free_step = self._free_step
-                while heap:
-                    _f, g, si, hdx, hdy = heappop(heap)
-                    pops += 1
-                    if g > best_g_get(si, _INF):
-                        continue
-                    if si in tgt:
-                        rev = [si]
-                        while rev[-1] not in src_idx:
-                            rev.append(parent[rev[-1]])
-                        rev.reverse()
-                        decode = self._decode
-                        return [decode(i) for i in rev]
-                    expansions += 1
-                    if expansions > expansion_limit:
-                        return None
-                    x = si // hl
-                    rem = si - x * hl
-                    y = rem // layers_n
-                    lm = rem - y * layers_n
-                    in_x = lo_x <= x <= hi_x
-                    in_y = lo_y <= y <= hi_y
-                    off_line = not on_line[x]
-
-                    if vertical[lm + 1]:
-                        if y > 0:
-                            ci = si - layers_n
-                            sc = free_step[ci]
-                            if sc < 0.0:
-                                sc = (
-                                    step[ci]
-                                    if sc == _OWNED_STEP and owner_ids[ci] == net_id
-                                    else _BLOCKED_STEP
-                                )
-                            if sc >= 0.0:
-                                evals += 1
-                                ny_ = y - 1
-                                if in_x and lo_y <= ny_ <= hi_y:
-                                    candidate = g + sc
-                                    if candidate < best_g_get(ci, _INF) - 1e-12:
-                                        best_g[ci] = candidate
-                                        parent[ci] = si
-                                        dy = (
-                                            (t_lo_y - ny_)
-                                            if ny_ < t_lo_y
-                                            else (ny_ - t_hi_y)
-                                            if ny_ > t_hi_y
-                                            else 0
-                                        )
-                                        heappush(
-                                            heap,
-                                            (
-                                                candidate + weight * (hdx + dy),
-                                                candidate,
-                                                ci,
-                                                hdx,
-                                                dy,
-                                            ),
-                                        )
-                        if y + 1 < height:
-                            ci = si + layers_n
-                            sc = free_step[ci]
-                            if sc < 0.0:
-                                sc = (
-                                    step[ci]
-                                    if sc == _OWNED_STEP and owner_ids[ci] == net_id
-                                    else _BLOCKED_STEP
-                                )
-                            if sc >= 0.0:
-                                evals += 1
-                                ny_ = y + 1
-                                if in_x and lo_y <= ny_ <= hi_y:
-                                    candidate = g + sc
-                                    if candidate < best_g_get(ci, _INF) - 1e-12:
-                                        best_g[ci] = candidate
-                                        parent[ci] = si
-                                        dy = (
-                                            (t_lo_y - ny_)
-                                            if ny_ < t_lo_y
-                                            else (ny_ - t_hi_y)
-                                            if ny_ > t_hi_y
-                                            else 0
-                                        )
-                                        heappush(
-                                            heap,
-                                            (
-                                                candidate + weight * (hdx + dy),
-                                                candidate,
-                                                ci,
-                                                hdx,
-                                                dy,
-                                            ),
-                                        )
-                    else:
-                        if x > 0:
-                            ci = si - hl
-                            sc = free_step[ci]
-                            if sc < 0.0:
-                                sc = (
-                                    step[ci]
-                                    if sc == _OWNED_STEP and owner_ids[ci] == net_id
-                                    else _BLOCKED_STEP
-                                )
-                            if sc >= 0.0:
-                                evals += 1
-                                nx_ = x - 1
-                                if in_y and lo_x <= nx_ <= hi_x:
-                                    candidate = g + sc
-                                    if candidate < best_g_get(ci, _INF) - 1e-12:
-                                        best_g[ci] = candidate
-                                        parent[ci] = si
-                                        dx = (
-                                            (t_lo_x - nx_)
-                                            if nx_ < t_lo_x
-                                            else (nx_ - t_hi_x)
-                                            if nx_ > t_hi_x
-                                            else 0
-                                        )
-                                        heappush(
-                                            heap,
-                                            (
-                                                candidate + weight * (dx + hdy),
-                                                candidate,
-                                                ci,
-                                                dx,
-                                                hdy,
-                                            ),
-                                        )
-                        if x + 1 < width:
-                            ci = si + hl
-                            sc = free_step[ci]
-                            if sc < 0.0:
-                                sc = (
-                                    step[ci]
-                                    if sc == _OWNED_STEP and owner_ids[ci] == net_id
-                                    else _BLOCKED_STEP
-                                )
-                            if sc >= 0.0:
-                                evals += 1
-                                nx_ = x + 1
-                                if in_y and lo_x <= nx_ <= hi_x:
-                                    candidate = g + sc
-                                    if candidate < best_g_get(ci, _INF) - 1e-12:
-                                        best_g[ci] = candidate
-                                        parent[ci] = si
-                                        dx = (
-                                            (t_lo_x - nx_)
-                                            if nx_ < t_lo_x
-                                            else (nx_ - t_hi_x)
-                                            if nx_ > t_hi_x
-                                            else 0
-                                        )
-                                        heappush(
-                                            heap,
-                                            (
-                                                candidate + weight * (dx + hdy),
-                                                candidate,
-                                                ci,
-                                                dx,
-                                                hdy,
-                                            ),
-                                        )
-
-                    if off_line:
-                        if lm > 0:
-                            ci = si - 1
-                            sc = free_step[ci]
-                            if sc < 0.0:
-                                sc = (
-                                    step[ci]
-                                    if sc == _OWNED_STEP and owner_ids[ci] == net_id
-                                    else _BLOCKED_STEP
-                                )
-                            if sc >= 0.0:
-                                evals += 1
-                                sc = sc + via_extra[x]
-                                if in_x and in_y:
-                                    candidate = g + sc
-                                    if candidate < best_g_get(ci, _INF) - 1e-12:
-                                        best_g[ci] = candidate
-                                        parent[ci] = si
-                                        heappush(
-                                            heap,
-                                            (
-                                                candidate + weight * (hdx + hdy),
-                                                candidate,
-                                                ci,
-                                                hdx,
-                                                hdy,
-                                            ),
-                                        )
-                        if lm + 1 < layers_n:
-                            ci = si + 1
-                            sc = free_step[ci]
-                            if sc < 0.0:
-                                sc = (
-                                    step[ci]
-                                    if sc == _OWNED_STEP and owner_ids[ci] == net_id
-                                    else _BLOCKED_STEP
-                                )
-                            if sc >= 0.0:
-                                evals += 1
-                                sc = sc + via_extra[x]
-                                if in_x and in_y:
-                                    candidate = g + sc
-                                    if candidate < best_g_get(ci, _INF) - 1e-12:
-                                        best_g[ci] = candidate
-                                        parent[ci] = si
-                                        heappush(
-                                            heap,
-                                            (
-                                                candidate + weight * (hdx + hdy),
-                                                candidate,
-                                                ci,
-                                                hdx,
-                                                hdy,
-                                            ),
-                                        )
-                return None
-
-            while heap:
-                _f, g, si, hdx, hdy = heappop(heap)
-                pops += 1
-                if g > best_g_get(si, _INF):
-                    continue
-                if si in tgt:
-                    rev = [si]
-                    while rev[-1] not in src_idx:
-                        rev.append(parent[rev[-1]])
-                    rev.reverse()
-                    decode = self._decode
-                    return [decode(i) for i in rev]
-                expansions += 1
-                if expansions > expansion_limit:
-                    return None
-                x = si // hl
-                rem = si - x * hl
-                y = rem // layers_n
-                lm = rem - y * layers_n
-                # Window status of the popped node: planar moves reuse
-                # the unchanged coordinate's verdict, vias (same x and
-                # y as the node) reuse both — matching the reference
-                # search's full per-successor window test.
-                in_x = lo_x <= x <= hi_x
-                in_y = lo_y <= y <= hi_y
-                off_line = not on_line[x]
-
-                # --- planar moves (preferred direction only) ---------
-                if vertical[lm + 1]:
-                    if y > 0:
-                        ci = si - layers_n
-                        sc = step[ci]
-                        if sc >= 0.0:
-                            if local_get is None:
-                                o = owner_ids[ci]
-                            else:
-                                reads_add(ci)
-                                v = local_get(ci)
-                                if v is None:
-                                    o = owner_ids[ci]
-                                else:
-                                    o = 0 if v == -1 else v
-                            if o == 0 or o == net_id:
-                                ok = True
-                            elif fp is not None and not pins[ci]:
-                                ok = True
-                                sc = sc + fp
-                            else:
-                                ok = False
-                            if ok:
-                                evals += 1
-                                ny_ = y - 1
-                                if (
-                                    in_x
-                                    and lo_y <= ny_ <= hi_y
-                                    and (blk is None or ci not in blk)
-                                ):
-                                    candidate = g + sc
-                                    if candidate < best_g_get(ci, _INF) - 1e-12:
-                                        best_g[ci] = candidate
-                                        parent[ci] = si
-                                        dy = (
-                                            (t_lo_y - ny_)
-                                            if ny_ < t_lo_y
-                                            else (ny_ - t_hi_y) if ny_ > t_hi_y else 0
-                                        )
-                                        heappush(
-                                            heap,
-                                            (
-                                                candidate + weight * (hdx + dy),
-                                                candidate,
-                                                ci,
-                                                hdx,
-                                                dy,
-                                            ),
-                                        )
-                    if y + 1 < height:
-                        ci = si + layers_n
-                        sc = step[ci]
-                        if sc >= 0.0:
-                            if local_get is None:
-                                o = owner_ids[ci]
-                            else:
-                                reads_add(ci)
-                                v = local_get(ci)
-                                if v is None:
-                                    o = owner_ids[ci]
-                                else:
-                                    o = 0 if v == -1 else v
-                            if o == 0 or o == net_id:
-                                ok = True
-                            elif fp is not None and not pins[ci]:
-                                ok = True
-                                sc = sc + fp
-                            else:
-                                ok = False
-                            if ok:
-                                evals += 1
-                                ny_ = y + 1
-                                if (
-                                    in_x
-                                    and lo_y <= ny_ <= hi_y
-                                    and (blk is None or ci not in blk)
-                                ):
-                                    candidate = g + sc
-                                    if candidate < best_g_get(ci, _INF) - 1e-12:
-                                        best_g[ci] = candidate
-                                        parent[ci] = si
-                                        dy = (
-                                            (t_lo_y - ny_)
-                                            if ny_ < t_lo_y
-                                            else (ny_ - t_hi_y) if ny_ > t_hi_y else 0
-                                        )
-                                        heappush(
-                                            heap,
-                                            (
-                                                candidate + weight * (hdx + dy),
-                                                candidate,
-                                                ci,
-                                                hdx,
-                                                dy,
-                                            ),
-                                        )
-                else:
-                    if x > 0:
-                        ci = si - hl
-                        sc = step[ci]
-                        if sc >= 0.0:
-                            if local_get is None:
-                                o = owner_ids[ci]
-                            else:
-                                reads_add(ci)
-                                v = local_get(ci)
-                                if v is None:
-                                    o = owner_ids[ci]
-                                else:
-                                    o = 0 if v == -1 else v
-                            if o == 0 or o == net_id:
-                                ok = True
-                            elif fp is not None and not pins[ci]:
-                                ok = True
-                                sc = sc + fp
-                            else:
-                                ok = False
-                            if ok:
-                                evals += 1
-                                nx_ = x - 1
-                                if (
-                                    in_y
-                                    and lo_x <= nx_ <= hi_x
-                                    and (blk is None or ci not in blk)
-                                ):
-                                    candidate = g + sc
-                                    if candidate < best_g_get(ci, _INF) - 1e-12:
-                                        best_g[ci] = candidate
-                                        parent[ci] = si
-                                        dx = (
-                                            (t_lo_x - nx_)
-                                            if nx_ < t_lo_x
-                                            else (nx_ - t_hi_x) if nx_ > t_hi_x else 0
-                                        )
-                                        heappush(
-                                            heap,
-                                            (
-                                                candidate + weight * (dx + hdy),
-                                                candidate,
-                                                ci,
-                                                dx,
-                                                hdy,
-                                            ),
-                                        )
-                    if x + 1 < width:
-                        ci = si + hl
-                        sc = step[ci]
-                        if sc >= 0.0:
-                            if local_get is None:
-                                o = owner_ids[ci]
-                            else:
-                                reads_add(ci)
-                                v = local_get(ci)
-                                if v is None:
-                                    o = owner_ids[ci]
-                                else:
-                                    o = 0 if v == -1 else v
-                            if o == 0 or o == net_id:
-                                ok = True
-                            elif fp is not None and not pins[ci]:
-                                ok = True
-                                sc = sc + fp
-                            else:
-                                ok = False
-                            if ok:
-                                evals += 1
-                                nx_ = x + 1
-                                if (
-                                    in_y
-                                    and lo_x <= nx_ <= hi_x
-                                    and (blk is None or ci not in blk)
-                                ):
-                                    candidate = g + sc
-                                    if candidate < best_g_get(ci, _INF) - 1e-12:
-                                        best_g[ci] = candidate
-                                        parent[ci] = si
-                                        dx = (
-                                            (t_lo_x - nx_)
-                                            if nx_ < t_lo_x
-                                            else (nx_ - t_hi_x) if nx_ > t_hi_x else 0
-                                        )
-                                        heappush(
-                                            heap,
-                                            (
-                                                candidate + weight * (dx + hdy),
-                                                candidate,
-                                                ci,
-                                                dx,
-                                                hdy,
-                                            ),
-                                        )
-
-                # --- z moves (vias) ----------------------------------
-                # The ownership read happens before the on-line via
-                # filter, exactly like _passable-then-filter in the
-                # reference search — overlays must log these reads even
-                # when the via is then forbidden.
-                if lm > 0:
-                    ci = si - 1
-                    sc = step[ci]
-                    if sc >= 0.0:
-                        if local_get is None:
-                            o = owner_ids[ci]
-                        else:
-                            reads_add(ci)
-                            v = local_get(ci)
-                            if v is None:
-                                o = owner_ids[ci]
-                            else:
-                                o = 0 if v == -1 else v
-                        if o == 0 or o == net_id:
-                            ok = True
-                        elif fp is not None and not pins[ci]:
-                            ok = True
-                            sc = sc + fp
-                        else:
-                            ok = False
-                        if ok and off_line:
-                            evals += 1
-                            sc = sc + via_extra[x]
-                            if in_x and in_y and (blk is None or ci not in blk):
-                                candidate = g + sc
-                                if candidate < best_g_get(ci, _INF) - 1e-12:
-                                    best_g[ci] = candidate
-                                    parent[ci] = si
-                                    heappush(
-                                        heap,
-                                        (
-                                            candidate + weight * (hdx + hdy),
-                                            candidate,
-                                            ci,
-                                            hdx,
-                                            hdy,
-                                        ),
-                                    )
-                if lm + 1 < layers_n:
-                    ci = si + 1
-                    sc = step[ci]
-                    if sc >= 0.0:
-                        if local_get is None:
-                            o = owner_ids[ci]
-                        else:
-                            reads_add(ci)
-                            v = local_get(ci)
-                            if v is None:
-                                o = owner_ids[ci]
-                            else:
-                                o = 0 if v == -1 else v
-                        if o == 0 or o == net_id:
-                            ok = True
-                        elif fp is not None and not pins[ci]:
-                            ok = True
-                            sc = sc + fp
-                        else:
-                            ok = False
-                        if ok and off_line:
-                            evals += 1
-                            sc = sc + via_extra[x]
-                            if in_x and in_y and (blk is None or ci not in blk):
-                                candidate = g + sc
-                                if candidate < best_g_get(ci, _INF) - 1e-12:
-                                    best_g[ci] = candidate
-                                    parent[ci] = si
-                                    heappush(
-                                        heap,
-                                        (
-                                            candidate + weight * (hdx + hdy),
-                                            candidate,
-                                            ci,
-                                            hdx,
-                                            hdy,
-                                        ),
-                                    )
-            return None
-        finally:
-            # Hot loop: count locally, flush once per search (the same
-            # contract the reference search keeps).
-            self.cost_evaluations += evals
+            result = self._kernel_search(lib, *args)
+            if self._reads_idx is not None:
+                self._reads_idx.update(result.reads)
+            self.cost_evaluations += result.evaluations
             if stats is not None:
-                stats["astar_expansions"] = (
-                    stats.get("astar_expansions", 0) + expansions
-                )
+                flush = [("astar_expansions", result.expansions)]
                 if profile:
-                    # pushes == pops + len(heap) (heap invariant): the
-                    # derived value equals the reference loop's explicit
-                    # push count because the two loops are step-identical.
-                    stats["perf_heap_pushes"] = (
-                        stats.get("perf_heap_pushes", 0) + pops + len(heap)
-                    )
-                    stats["perf_heap_pops"] = (
-                        stats.get("perf_heap_pops", 0) + pops
-                    )
+                    flush += [
+                        ("perf_heap_pushes", result.pops + result.heap_left),
+                        ("perf_heap_pops", result.pops),
+                    ]
+                for name, value in flush:
+                    stats[name] = stats.get(name, 0) + value
+            decode = self._decode
+            path = None if result.path is None else [decode(i) for i in result.path]
+        if profile and stats is not None:
+            stats["perf_search_s"] = stats.get("perf_search_s", 0.0) + (
+                time.perf_counter() - started
+            )
+        return path
+
+    def _kernel_search(
+        self, lib: kernel.Kernel, net: str, sources: set[Node],
+        targets: set[Node], window: tuple[int, int, int, int],
+        expansion_limit: int, blocked: Optional[set[Node]],
+        foreign_penalty: Optional[float],
+    ) -> kernel.SearchResult:
+        """One kernel search, with no side effect on this grid."""
+        encode = self._encode_ids
+        return lib.search(
+            self._kernel_view, encode(sources), encode(targets),
+            encode(blocked or ()), self._local_ids,
+            self._net_id(net), foreign_penalty, window, expansion_limit,
+            1.3 * self.config.alpha,
+        )
+
+    def _encode_ids(self, nodes: Iterable[Node]) -> array:
+        """Flat ids of ``nodes``; their order is immaterial to the kernel,
+        which keys every set by id and orders its heap on ``(f, g, id)``."""
+        height, layers_n = self._height, self._num_layers
+        return array(
+            "q", [(x * height + y) * layers_n + layer - 1 for x, y, layer in nodes]
+        )
 
 
 def nodes_of_points(points: Iterable[GridPoint]) -> set[Node]:

@@ -99,13 +99,13 @@ class _OwnerOverlay:
 class GridOverlay(DetailedGrid):
     """A :class:`DetailedGrid` whose ownership writes are buffered.
 
-    Geometry caches, the pin set, the base ownership dict and the flat
-    step/via/pin/id arrays are shared by reference (all frozen while a
-    batch is in flight); every ownership access goes through an
-    :class:`_OwnerOverlay`, and every indexed ownership consult is
-    logged in ``_reads_idx``, giving the merge loop exact read/write
-    node sets.  ``cost_evaluations`` starts at zero so accepted counts
-    merge additively.
+    Geometry caches, the pin set, the base ownership dict, the flat
+    step/via/pin/id arrays and the kernel's view of them are shared by
+    reference (all frozen while a batch is in flight); every ownership
+    access goes through an :class:`_OwnerOverlay`, and every id the
+    search kernel consults is logged in ``_reads_idx``, giving the
+    merge loop exact read/write node sets.  ``cost_evaluations``
+    starts at zero so accepted counts merge additively.
     """
 
     def __init__(self, base: DetailedGrid) -> None:
@@ -129,6 +129,7 @@ class GridOverlay(DetailedGrid):
         self._via_extra = base._via_extra
         self._owner_ids = base._owner_ids
         self._pin_mask = base._pin_mask
+        self._kernel_view = base._kernel_view
         self.cost_evaluations = 0
         self._owner = _OwnerOverlay(base)
         self._local_ids = self._owner.local_ids

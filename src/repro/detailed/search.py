@@ -6,9 +6,10 @@ inside an expanding window around the endpoints; the cost function and
 hard-constraint filtering live in :class:`~repro.detailed.grid.DetailedGrid`.
 
 :func:`astar_connect` is the search the router runs: it hands the heap
-loop to :meth:`DetailedGrid.indexed_search`.  :func:`reference_astar`
-is the same search written plainly over tuple nodes and
-:meth:`DetailedGrid.neighbors`; tests hold the indexed loop to it.
+loop to :meth:`DetailedGrid.indexed_search`, which runs it in the
+compiled kernel.  :func:`reference_astar` is the same search written
+plainly over tuple nodes and :meth:`DetailedGrid.neighbors`; tests and
+the sanitizer hold the kernel to it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import heapq
 from collections.abc import Iterable
 from typing import Optional
 
-from ..analysis.pairing import paired
 from .grid import DetailedGrid, Node
 
 
@@ -59,7 +59,8 @@ def astar_connect(
 
     The heap loop is :meth:`DetailedGrid.indexed_search`, which runs on
     flat node ids and precomputed cost arrays; it produces exactly the
-    paths and counters of :func:`reference_astar`.
+    paths and counters of :func:`reference_astar`.  With ``profile``,
+    it also adds the search's wall time to ``perf_search_s``.
     """
     settled, path = _settle(sources, targets, stats)
     if settled:
@@ -77,7 +78,6 @@ def astar_connect(
     )
 
 
-@paired("detailed-astar", backend="object")
 def reference_astar(
     grid: DetailedGrid,
     net: str,
@@ -92,14 +92,28 @@ def reference_astar(
 ) -> Optional[list[Node]]:
     """Plain A* over :meth:`DetailedGrid.neighbors`, written as Eq. (10) reads.
 
-    Same arguments, result and counters as :func:`astar_connect`.  It
-    is the readable reference the indexed search is tested against
-    (``tests/detailed/test_indexed_search.py``); the router never
-    calls it.
+    Same arguments, result and counters as :func:`astar_connect`
+    (``perf_search_s`` aside).  It is the readable reference the
+    compiled kernel is tested against
+    (``tests/detailed/test_indexed_search.py``).
     """
     settled, path = _settle(sources, targets, stats)
     if settled:
         return path
+    return reference_heap_loop(
+        grid, net, sources, targets, window, expansion_limit,
+        blocked, foreign_penalty, stats, profile,
+    )
+
+
+def reference_heap_loop(
+    grid: DetailedGrid, net: str, sources: set[Node], targets: set[Node],
+    window: tuple[int, int, int, int], expansion_limit: int,
+    blocked: Optional[set[Node]], foreign_penalty: Optional[float],
+    stats: Optional[dict[str, float]], profile: bool,
+) -> Optional[list[Node]]:
+    """The heap loop of :func:`reference_astar` (after its preamble): the
+    compiled kernel's fallback and, in sanitized runs, its shadow oracle."""
     lo_x, lo_y, hi_x, hi_y = window
 
     # O(1) heuristic: distance to the targets' bounding box, weighted
@@ -180,10 +194,7 @@ def _settle(
     endpoint set has no path, and a shared node is a complete path.
     """
     if stats is not None:
-        # Shared by both searches: astar_connect counts indexed searches here.
-        stats["astar_searches"] = (  # repro: allow-PAR001 shared preamble
-            stats.get("astar_searches", 0) + 1
-        )
+        stats["astar_searches"] = stats.get("astar_searches", 0) + 1
     if not sources or not targets:
         return True, None
     if sources & targets:

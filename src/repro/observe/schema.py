@@ -341,6 +341,10 @@ _register(
     "Heap pops by detailed A* (profile mode).",
 )
 _register(
+    "perf_search_s", "counter", _DETAILED, ALL_BACKENDS, "profiling",
+    "Wall seconds inside detailed A* search calls (profile mode).",
+)
+_register(
     "perf_overlay_commits", "counter", _DETAILED, ALL_BACKENDS,
     "profiling",
     "Overlay deltas committed back to the base grid.",

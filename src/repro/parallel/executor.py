@@ -8,11 +8,11 @@ routing stages can report worker utilization
 
 The pool is thread-based: workers only *read* shared routing state
 (their writes go to per-net overlays, see :mod:`repro.parallel.overlay`),
-which process pools would have to pickle wholesale.  Pure-Python search
-loops contend on the GIL, so the wall-clock win grows with the share of
-time spent in C extensions (numpy) and shrinks toward parity on
-interpreter-bound workloads — ``docs/parallelism.md`` discusses when to
-raise ``workers``.
+which process pools would have to pickle wholesale.  Pure-Python code
+contends on the GIL, so the wall-clock win grows with the share of
+time spent in compiled code that releases it (the detailed A* kernel,
+numpy) and shrinks toward parity on interpreter-bound workloads —
+``docs/parallelism.md`` discusses when to raise ``workers``.
 """
 
 from __future__ import annotations

@@ -542,6 +542,9 @@ class TestSrcIsClean:
         # with a reason, or fixed — never silently grandfathered.
         report = analyze_parity_paths(["src"])
         assert report.ok, render_parity(report)
-        # detailed-astar (reference vs indexed) and batch-executor.
-        assert report.pairs >= 2
+        # batch-executor.  The detailed-astar pair was retired when
+        # the fast search moved into the compiled kernel; the
+        # hypothesis differential and the sanitizer's shadow oracle
+        # hold the kernel to the reference instead.
+        assert report.pairs >= 1
         assert not report.dead_suppressions

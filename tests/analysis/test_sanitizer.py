@@ -4,7 +4,10 @@ The sanitized overlays must (a) stay silent on protocol-conforming
 access, (b) fail loudly on every class of undeclared access, (c) catch
 a bypass injected into the real speculative routing path, and (d) run
 the same indexed searches production runs — the sanitizer audits the
-code that executes, not a reference path beside it.
+code that executes, not a reference path beside it.  Detailed searches
+run the compiled kernel on the real buffers and are replayed by the
+reference search as a shadow oracle; (e) any divergence in path,
+counters or read footprint is a violation.
 """
 
 import pytest
@@ -20,7 +23,7 @@ from repro.analysis import (
 )
 from repro.config import RouterConfig
 from repro.api import StitchAwareRouter
-from repro.detailed import DetailedGrid
+from repro.detailed import DetailedGrid, kernel
 from repro.geometry import Point
 from repro.globalroute import GlobalGraph
 from repro.layout import Design, Net, Netlist, Pin, Technology
@@ -217,6 +220,69 @@ class TestSanitizedGridOverlay:
         overlay.verify(stats)
         assert stats["sanitize_nodes_checked"] >= len(overlay._reads_idx)
 
+    def test_kernel_read_log_missing_an_id_is_detected(self, monkeypatch):
+        if kernel.load() is None:
+            pytest.skip("no C compiler: no kernel to audit")
+        original = _Grid._kernel_search
+
+        def lossy(self, *args, **kwargs):
+            # Drop one consulted id from the kernel's returned read log:
+            # the merge loop would miss a conflict on that node.
+            result = original(self, *args, **kwargs)
+            return result._replace(reads=list(result.reads)[1:])
+
+        monkeypatch.setattr(_Grid, "_kernel_search", lossy)
+        grid = DetailedGrid(make_design())
+        grid.occupy((10, 4, 1), "n0")
+        overlay = SanitizedGridOverlay(grid)
+        with pytest.raises(SanitizerViolation, match="read footprint"):
+            overlay.indexed_search(
+                "n0", {(4, 4, 1)}, {(20, 4, 1)}, (0, 0, 30, 10), 10_000,
+                stats={},
+            )
+
+    def test_kernel_counter_divergence_is_detected(self, monkeypatch):
+        if kernel.load() is None:
+            pytest.skip("no C compiler: no kernel to audit")
+        original = _Grid._kernel_search
+
+        def miscounting(self, *args, **kwargs):
+            result = original(self, *args, **kwargs)
+            return result._replace(evaluations=result.evaluations + 1)
+
+        monkeypatch.setattr(_Grid, "_kernel_search", miscounting)
+        overlay = SanitizedGridOverlay(DetailedGrid(make_design()))
+        with pytest.raises(SanitizerViolation, match="cost_evaluations"):
+            overlay.indexed_search(
+                "n0", {(4, 4, 1)}, {(20, 4, 1)}, (0, 0, 30, 10), 10_000
+            )
+
+    def test_sanitized_search_runs_the_kernel_on_the_real_buffers(
+        self, monkeypatch
+    ):
+        if kernel.load() is None:
+            pytest.skip("no C compiler: no kernel to audit")
+        seen = []
+        original = kernel.Kernel.search
+
+        def spy(self, grid_view, *args, **kwargs):
+            seen.append(grid_view)
+            return original(self, grid_view, *args, **kwargs)
+
+        monkeypatch.setattr(kernel.Kernel, "search", spy)
+        grid = DetailedGrid(make_design())
+        overlay = SanitizedGridOverlay(grid)
+        stats = {}
+        path = overlay.indexed_search(
+            "n0", {(4, 4, 1)}, {(20, 4, 1)}, (0, 0, 30, 10), 10_000,
+            stats=stats,
+        )
+        assert path is not None
+        assert seen == [grid._kernel_view]
+        overlay.verify(stats)
+        # Every kernel read was confirmed by the shadow oracle.
+        assert stats["sanitize_nodes_checked"] >= len(overlay._reads_idx) > 0
+
     def test_undeclared_buffered_write_caught_at_verify(self):
         overlay = SanitizedGridOverlay(DetailedGrid(make_design()))
         # Inject a delta entry without declaring it in the write set —
@@ -340,6 +406,25 @@ class TestRouterIntegration:
             StitchAwareRouter(
                 config=RouterConfig(workers=4, sanitize=True)
             ).route(wide_quad_design())
+
+    def test_injected_read_log_loss_in_a_real_run_is_detected(
+        self, monkeypatch
+    ):
+        if kernel.load() is None:
+            pytest.skip("no C compiler: no kernel to audit")
+        original = _Grid._kernel_search
+
+        def lossy(self, *args, **kwargs):
+            result = original(self, *args, **kwargs)
+            if isinstance(self, SanitizedGridOverlay) and result.reads:
+                return result._replace(reads=list(result.reads)[:-1])
+            return result
+
+        monkeypatch.setattr(_Grid, "_kernel_search", lossy)
+        with pytest.raises(SanitizerViolation, match="read footprint"):
+            StitchAwareRouter(
+                config=RouterConfig(workers=4, executor="thread", sanitize=True)
+            ).route(mcnc_design("S9234", 0.02))
 
     def test_sanitize_off_does_not_wrap(self, monkeypatch):
         from repro.detailed.router import DetailedRouter

@@ -101,9 +101,12 @@ class TestProfileOffIsInvisible:
                 return span
 
             # The committed baselines still carry the retired
-            # ``engine`` meta stamp; nothing else in meta may differ.
+            # ``engine`` meta stamp and predate the ``detailed_search``
+            # stamp; nothing else in meta may differ.
             meta = {
-                k: v for k, v in doc.get("meta", {}).items() if k != "engine"
+                k: v
+                for k, v in doc.get("meta", {}).items()
+                if k not in ("engine", "detailed_search")
             }
             return {
                 "router": doc["router"],
